@@ -22,6 +22,8 @@ sl = make_slice([0, 0, 1], [1])
 pb = pullback_metric(gas, sl, [1, 1])
 print("induced metric at (U,V)=(1,1):")
 print(pb.gbar)
+# on-demand cross-check: the chain rule on the ambient metric agrees with
+# the z-Hessian of the pulled-back potential (costs one more evaluation)
 print("two-path consistency residual:", pb.two_path_residual)
 
 gamma = levi_civita(pb)

@@ -1,8 +1,8 @@
 """Batch front-end: invariant checks, curvature scans, Legendre reports.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 model/usage errors,
-3 domain violation.  Grid scans honor the HESSIOMETRIC_THREADS
-environment variable.
+3 domain violation.  Grid scans run serially; the HESSIOMETRIC_THREADS
+environment variable is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -99,14 +97,6 @@ def _parse_slice(text: str, dim: int) -> submanifold.SliceSpec:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HESSIOMETRIC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- check -------------------------------------------------------------
@@ -209,28 +199,26 @@ def _parse_grid(text: str, r: int):
 
 def _curvature_row(model, sl, z):
     values = [_fmt(v) for v in z]
-    if not model.domain_check(sl.embed(z)):
-        return values + ["", "", "", "DOMAIN"]
     try:
         pb = submanifold.pullback_metric(model, sl, z)
+    except DomainError:
+        if model.domain_check(sl.embed(z)):
+            raise  # an in-domain evaluation failure aborts the scan
+        return values + ["", "", "", "DOMAIN"]
+    try:
         report = submanifold.curvature(pb)
-        lam_min = float(np.linalg.eigvalsh(pb.gbar)[0])
-        flat = submanifold.dual_flatness_residual(model, sl, z)
     except DegenerateSliceError:
         return values + ["", "", "", "KERNEL"]
-    return values + [_fmt(report.scalar), _fmt(lam_min), _fmt(flat), "OK"]
+    conn = report.connection
+    return values + [_fmt(report.scalar), _fmt(conn.eigenvalues[0]),
+                     _fmt(conn.dual_flatness()), "OK"]
 
 
 def cmd_curvature(args) -> int:
     model = _resolve_model(args.model)
     sl = _parse_slice(args.slice, model.dim)
     zs = _parse_grid(args.grid, sl.slice_dim)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda z: _curvature_row(model, sl, z), zs))
-    else:
-        rows = [_curvature_row(model, sl, z) for z in zs]
+    rows = [_curvature_row(model, sl, z) for z in zs]
     buffer = io.StringIO()
     header = [f"z{i+1}" for i in range(sl.slice_dim)]
     header += ["scalar_curvature", "lambda_min", "dual_flatness_residual",

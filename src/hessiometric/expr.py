@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import jets
-from .errors import ExprSyntaxError, UnknownIdentifierError
+from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from .jets import Jet
 
 
@@ -227,6 +227,15 @@ def eval_on(ast: Ast, env: Mapping[str, Jet]):
     raise TypeError(f"not an AST node: {ast!r}")
 
 
+def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
+    """:func:`eval_on`, then one finiteness check of the finished jet:
+    infinite inputs and numpy overflow end here as a DomainError."""
+    jet = eval_on(ast, env)
+    if not np.isfinite(jet.coeffs).all():
+        raise DomainError("expression value or derivatives are not finite")
+    return jet
+
+
 def eval_jet(ast: Ast, variables: Sequence[str], point, params: Mapping[str, float],
              order: int) -> Jet:
     """Jet of the expression at ``point``, with all derivatives through
@@ -242,4 +251,4 @@ def eval_jet(ast: Ast, variables: Sequence[str], point, params: Mapping[str, flo
         env = {name: Jet.seed(point, i, order) for i, name in enumerate(variables)}
     for name, value in params.items():
         env[name] = Jet.constant(float(value), len(variables), order)
-    return eval_on(ast, env)
+    return eval_finite(ast, env)

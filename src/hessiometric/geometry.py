@@ -43,14 +43,19 @@ def hessian_metric(model: PotentialModel, point) -> MetricField:
     """Assemble the metric field from a single order-4 jet of the
     potential.  Raises DomainError outside the model domain."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    if not model.domain_check(point):
-        raise DomainError(f"point {point.tolist()} violates the domain of "
-                          f"model {model.name!r}")
+    model.require_domain(point)
     jet = model.potential_jet(point, order=4)
     g = jet.hessian()
     third = jet.third_tensor()
     fourth = jet.fourth_tensor()
+    require_finite("metric field", g, third, fourth)
     return MetricField(point=point, g=g, dg=third, d2g=fourth)
+
+
+def require_finite(what: str, *arrays) -> None:
+    """Guard for numpy.linalg, which fails or returns NaN on inf/NaN."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError(f"{what} is not finite")
 
 
 def _canonical_sign(vectors):
@@ -95,9 +100,7 @@ def euler_defect(model: PotentialModel, point) -> float:
     differential of the potential is extensive; for the thermodynamic
     builtins the constant is the entropy offset."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    if not model.domain_check(point):
-        raise DomainError(f"point {point.tolist()} violates the domain of "
-                          f"model {model.name!r}")
+    model.require_domain(point)
     jet = model.potential_jet(point, order=1)
     return float(point @ jet.gradient() - jet.value)
 

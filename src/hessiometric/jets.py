@@ -14,7 +14,7 @@ factorial).  This makes multiplication a plain truncated convolution;
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partialmethod, wraps
 from itertools import product
 
 import numpy as np
@@ -29,10 +29,10 @@ MAX_DIM = 8
 def _space(dim: int, order: int):
     """Index tables for jets of a given dimension and order.
 
-    Returns (indices, rank, mul_table, factorials) where ``indices`` is the
-    graded-lex list of exponent tuples, ``rank`` maps a tuple to its slot,
-    ``mul_table`` is an (ia, ib, ic) integer array driving the truncated
-    convolution, and ``factorials[i]`` is the multi-index factorial.
+    Returns (indices, rank, mul_table, factorials, tensors): the graded-lex
+    exponent tuples, tuple -> slot, the (ia, ib, ic) arrays driving the
+    truncated convolution, the multi-index factorials, and per order k the
+    (slots, factorials[slots]) pair that gathers the order-k tensor.
     """
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
@@ -51,7 +51,27 @@ def _space(dim: int, order: int):
     table = (np.asarray(ia), np.asarray(ib), np.asarray(ic))
     factorials = np.array([math.prod(math.factorial(k) for k in e) for e in indices],
                           dtype=float)
-    return indices, rank, table, factorials
+    tensors = []
+    for k in range(1, order + 1):
+        slots = np.empty((dim,) * k, dtype=np.intp)
+        for axes in product(range(dim), repeat=k):
+            slots[axes] = rank[tuple(axes.count(i) for i in range(dim))]
+        tensors.append((slots, factorials[slots]))
+    return indices, rank, table, factorials, tuple(tensors)
+
+
+def _jet(dim, order, coeffs):
+    """Jet from coefficients the caller already shaped (no validation)."""
+    jet = object.__new__(Jet)
+    jet.dim, jet.order, jet.coeffs = dim, order, coeffs
+    return jet
+
+
+def _product(dim, order, a, b):
+    """Truncated convolution of two coefficient vectors.  ``bincount``
+    sums each slot in table order, as ``np.add.at`` would."""
+    ia, ib, ic = _space(dim, order)[2]
+    return np.bincount(ic, a[ia] * b[ib], len(a))
 
 
 class Jet:
@@ -72,10 +92,9 @@ class Jet:
 
     @classmethod
     def constant(cls, value, dim, order):
-        indices, _, _, _ = _space(dim, order)
-        coeffs = np.zeros(len(indices))
+        coeffs = np.zeros(len(_space(dim, order)[0]))
         coeffs[0] = value
-        return cls(dim, order, coeffs)
+        return _jet(dim, order, coeffs)
 
     @classmethod
     def seed(cls, point, var_index, order):
@@ -86,25 +105,18 @@ class Jet:
             raise IndexError(f"var_index {var_index} out of range for dim {dim}")
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-        indices, rank, _, _ = _space(dim, order)
-        coeffs = np.zeros(len(indices))
-        coeffs[0] = point[var_index]
-        e = tuple(1 if i == var_index else 0 for i in range(dim))
-        coeffs[rank[e]] = 1.0
-        return cls(dim, order, coeffs)
+        return cls.affine(point[var_index], np.eye(dim)[var_index], order)
 
     @classmethod
     def affine(cls, value, gradient, order):
         """Jet of an affine function with the given value and gradient."""
         gradient = np.asarray(gradient, dtype=float)
         dim = gradient.shape[0]
-        indices, rank, _, _ = _space(dim, order)
+        indices, _, _, _, tensors = _space(dim, order)
         coeffs = np.zeros(len(indices))
         coeffs[0] = value
-        for i in range(dim):
-            e = tuple(1 if k == i else 0 for k in range(dim))
-            coeffs[rank[e]] = gradient[i]
-        return cls(dim, order, coeffs)
+        coeffs[tensors[0][0]] = gradient  # first-order slots
+        return _jet(dim, order, coeffs)
 
     # -- basic accessors ----------------------------------------------
 
@@ -122,7 +134,7 @@ class Jet:
             raise ValueError("multi-index exponents must be non-negative")
         if sum(idx) > self.order:
             raise ValueError(f"multi-index order {sum(idx)} exceeds jet order {self.order}")
-        _, rank, _, factorials = _space(self.dim, self.order)
+        _, rank, _, factorials, _ = _space(self.dim, self.order)
         r = rank[idx]
         return float(self.coeffs[r] * factorials[r])
 
@@ -136,54 +148,47 @@ class Jet:
         return Jet.constant(float(other), self.dim, self.order)
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs)
+        return _jet(self.dim, self.order, -self.coeffs)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Jet(self.dim, self.order, self.coeffs + other.coeffs)
+        return _jet(self.dim, self.order, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Jet(self.dim, self.order, self.coeffs - other.coeffs)
+        return _jet(self.dim, self.order, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.coeffs * float(other))
+            return _jet(self.dim, self.order, self.coeffs * float(other))
         other = self._coerce(other)
-        ia, ib, ic = _space(self.dim, self.order)[2]
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, ic, self.coeffs[ia] * other.coeffs[ib])
-        return Jet(self.dim, self.order, out)
+        return _jet(self.dim, self.order,
+                    _product(self.dim, self.order, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.coeffs / float(other))
+            return _jet(self.dim, self.order, self.coeffs / float(other))
         if other.value == 0.0:
             raise DomainError("division by a jet with zero value")
-        return self * other._reciprocal()
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
         if self.value == 0.0:
             raise DomainError("division by a jet with zero value")
-        return self._reciprocal() * float(other)
+        return _reciprocal(self) * float(other)
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
             # general power: a^b = exp(b ln a), requires a > 0
             return exp(exponent * ln(self))
         return pow_const(self, float(exponent))
-
-    def _reciprocal(self):
-        v = self.value
-        derivs = [1 / v, -1 / v**2, 2 / v**3, -6 / v**4, 24 / v**5]
-        return self.compose(derivs[: self.order + 1])
 
     # -- composition --------------------------------------------------
 
@@ -194,73 +199,55 @@ class Jet:
         Implements Faa di Bruno through the truncation order by
         expanding f around a0 in powers of the non-constant part.
         """
-        h = Jet(self.dim, self.order, self.coeffs.copy())
-        h.coeffs[0] = 0.0
-        out = Jet.constant(derivs[0], self.dim, self.order)
-        power = None
+        h = self.coeffs.copy()
+        h[0] = 0.0
+        out = np.zeros_like(h)
+        out[0] = derivs[0]
         for k in range(1, self.order + 1):
-            power = h if power is None else power * h
+            power = h if k == 1 else _product(self.dim, self.order, power, h)
             out = out + power * (derivs[k] / math.factorial(k))
-        return out
+        return _jet(self.dim, self.order, out)
 
     # -- derivative tensors -------------------------------------------
 
-    def gradient(self):
-        n = self.dim
-        return np.array([self.extract(_unit(n, i)) for i in range(n)])
+    def _tensor(self, k):
+        """Order-k derivative tensor, gathered in one fancy-index."""
+        if k > self.order:
+            raise ValueError(f"order-{k} tensor exceeds jet order {self.order}")
+        slots, scale = _space(self.dim, self.order)[4][k - 1]
+        return self.coeffs[slots] * scale
 
-    def hessian(self):
-        n = self.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = self.extract(_merge(n, (i, j)))
-                out[i, j] = out[j, i] = v
-        return out
-
-    def third_tensor(self):
-        n = self.dim
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    v = self.extract(_merge(n, (i, j, k)))
-                    for p in _perms3(i, j, k):
-                        out[p] = v
-        return out
-
-    def fourth_tensor(self):
-        n = self.dim
-        out = np.empty((n, n, n, n))
-        for idx in product(range(n), repeat=4):
-            if tuple(sorted(idx)) == idx:
-                v = self.extract(_merge(n, idx))
-            else:
-                v = out[tuple(sorted(idx))]
-            out[idx] = v
-        return out
+    gradient = partialmethod(_tensor, 1)
+    hessian = partialmethod(_tensor, 2)
+    third_tensor = partialmethod(_tensor, 3)
+    fourth_tensor = partialmethod(_tensor, 4)
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
 
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _merge(n, axes):
-    e = [0] * n
-    for a in axes:
-        e[a] += 1
-    return tuple(e)
-
-
-def _perms3(i, j, k):
-    return {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}
-
-
 # -- elementary functions ---------------------------------------------
 
+def _derivative_table(fn):
+    """DomainError where a derivative table overflows or divides by zero."""
+    @wraps(fn)
+    def guarded(a, *args):
+        try:
+            return fn(a, *args)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"derivatives of {fn.__name__.strip('_')} at "
+                              f"{a.value!r} leave the float range") from None
+    return guarded
+
+
+@_derivative_table
+def _reciprocal(a: Jet) -> Jet:
+    v = a.value
+    derivs = [1 / v, -1 / v**2, 2 / v**3, -6 / v**4, 24 / v**5]
+    return a.compose(derivs[: a.order + 1])
+
+
+@_derivative_table
 def ln(a: Jet) -> Jet:
     v = a.value
     if v <= 0.0:
@@ -269,11 +256,13 @@ def ln(a: Jet) -> Jet:
     return a.compose(derivs[: a.order + 1])
 
 
+@_derivative_table
 def exp(a: Jet) -> Jet:
     ev = math.exp(a.value)
     return a.compose([ev] * (a.order + 1))
 
 
+@_derivative_table
 def sqrt(a: Jet) -> Jet:
     v = a.value
     if v <= 0.0:
@@ -283,6 +272,7 @@ def sqrt(a: Jet) -> Jet:
     return a.compose(derivs[: a.order + 1])
 
 
+@_derivative_table
 def pow_const(a: Jet, p: float) -> Jet:
     """a**p for a real constant exponent.
 

@@ -65,6 +65,12 @@ class PotentialModel:
                 return False
         return True
 
+    def require_domain(self, point) -> None:
+        """Raise DomainError unless :meth:`domain_check` holds."""
+        if not self.domain_check(point):
+            raise DomainError(f"point {np.asarray(point).tolist()} violates "
+                              f"the domain of model {self.name!r}")
+
 
 _SCHEMA_KEYS = {"name", "coordinates", "parameters", "entropy", "domain"}
 _REQUIRED_KEYS = {"name", "coordinates", "entropy"}

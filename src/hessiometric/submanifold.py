@@ -18,9 +18,9 @@ import numpy as np
 import scipy.linalg
 
 from . import expr
-from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
+from .errors import (DegenerateSliceError, RankDeficientError,
                      SingularDualChartError)
-from .geometry import MetricField, hessian_metric
+from .geometry import hessian_metric, require_finite
 from .jets import Jet
 from .models import PotentialModel
 
@@ -126,8 +126,16 @@ class PullbackData:
     gbar: np.ndarray
     dgbar: np.ndarray
     d2gbar: np.ndarray
-    two_path_residual: float  # chain-rule metric vs z-Hessian of potential
-    ambient: MetricField = field(repr=False, default=None)
+    model: PotentialModel = field(repr=False)
+
+    @property
+    def two_path_residual(self) -> float:
+        """On-demand cross-check: relative gap between ``gbar`` and the
+        chain rule A^T g A on the ambient metric (one more evaluation)."""
+        a = self.slice.jacobian
+        gbar_chain = a.T @ hessian_metric(self.model, self.x).g @ a
+        return float(np.max(np.abs(self.gbar - gbar_chain))
+                     / (np.max(np.abs(self.gbar)) + _EPS))
 
 
 def _pullback_jet(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> Jet:
@@ -138,39 +146,50 @@ def _pullback_jet(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> Je
            for i, name in enumerate(model.coordinates)}
     for name, value in model.parameters.items():
         env[name] = Jet.constant(float(value), sl.slice_dim, order)
-    return -expr.eval_on(model.entropy, env)
+    return -expr.eval_finite(model.entropy, env)
 
 
 def pullback_metric(model: PotentialModel, sl: SliceSpec, z) -> PullbackData:
-    """Induced metric and its z-derivatives at a slice point.
-
-    Computed two ways -- chain rule on the ambient metric field, and the
-    z-Hessian of the pulled-back potential -- and cross-checked; the
-    disagreement is reported as ``two_path_residual``.
-    """
+    """Induced metric and its z-derivatives at a slice point, from one
+    order-4 jet of the pulled-back potential.  Raises DomainError off
+    the model domain.  ``two_path_residual`` of the result is an
+    on-demand chain-rule cross-check against the ambient metric."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = sl.embed(z)
-    mf = hessian_metric(model, x)  # raises DomainError off-domain
+    model.require_domain(x)
     jet = _pullback_jet(model, sl, z, order=4)
     gbar = jet.hessian()
     dgbar = jet.third_tensor()
     d2gbar = jet.fourth_tensor()
-    a = sl.jacobian
-    gbar_chain = a.T @ mf.g @ a
-    residual = float(np.max(np.abs(gbar - gbar_chain))
-                     / (np.max(np.abs(gbar)) + _EPS))
+    require_finite("pulled-back metric", gbar, dgbar, d2gbar)
     return PullbackData(slice=sl, z=z, x=x,
                         potential=jet.value, gradient=jet.gradient(),
-                        gbar=gbar, dgbar=dgbar, d2gbar=d2gbar,
-                        two_path_residual=residual, ambient=mf)
+                        gbar=gbar, dgbar=dgbar, d2gbar=d2gbar, model=model)
 
 
 # -- Levi-Civita connection and curvature ------------------------------
 
-def levi_civita(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
-    """Christoffel symbols gamma[c, a, b] = Gamma^c_ab of the induced
-    metric.  Raises DegenerateSliceError when the slice is not
-    transversal to the kernel."""
+@dataclass
+class Connection:
+    """Levi-Civita connection of the induced metric, from one
+    factorisation of it: gamma[c, a, b] = Gamma^c_ab and
+    dgamma[e, c, a, b] = d_e Gamma^c_ab."""
+
+    eigenvalues: np.ndarray  # ascending spectrum of gbar
+    ginv: np.ndarray
+    gamma: np.ndarray
+    dgamma: np.ndarray
+
+    def dual_flatness(self) -> float:
+        """Curvature residual of the dual connection 2*Gamma (the flat one
+        vanishes in the adapted affine chart); zero in exact arithmetic."""
+        return flatness_residual(2.0 * self.gamma, 2.0 * self.dgamma)
+
+
+def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
+    """Connection of the induced metric, analytic from the third and fourth
+    derivatives of the potential.  Raises DegenerateSliceError when the
+    slice is not transversal to the kernel."""
     lam = np.linalg.eigvalsh(pb.gbar)
     if lam[0] <= tol_rel * np.max(np.abs(lam)):
         raise DegenerateSliceError(
@@ -180,25 +199,24 @@ def levi_civita(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
     low = 0.5 * (np.einsum("abc->cab", pb.dgbar)
                  + np.einsum("bac->cab", pb.dgbar)
                  - pb.dgbar)
-    return np.einsum("cd,dab->cab", ginv, low)
-
-
-def christoffel_derivatives(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
-    """dgamma[e, c, a, b] = d_e Gamma^c_ab, analytic from the fourth
-    derivatives of the potential."""
-    lam = np.linalg.eigvalsh(pb.gbar)
-    if lam[0] <= tol_rel * np.max(np.abs(lam)):
-        raise DegenerateSliceError("pulled-back metric is singular")
-    ginv = np.linalg.inv(pb.gbar)
-    low = 0.5 * (np.einsum("abc->cab", pb.dgbar)
-                 + np.einsum("bac->cab", pb.dgbar)
-                 - pb.dgbar)
     dlow = 0.5 * (np.einsum("eabd->edab", pb.d2gbar)
                   + np.einsum("ebad->edab", pb.d2gbar)
                   - np.einsum("edab->edab", pb.d2gbar))
     dginv = -np.einsum("ca,eab,bd->ecd", ginv, pb.dgbar, ginv)
-    return (np.einsum("ecd,dab->ecab", dginv, low)
-            + np.einsum("cd,edab->ecab", ginv, dlow))
+    gamma = np.einsum("cd,dab->cab", ginv, low)
+    dgamma = (np.einsum("ecd,dab->ecab", dginv, low)
+              + np.einsum("cd,edab->ecab", ginv, dlow))
+    return Connection(eigenvalues=lam, ginv=ginv, gamma=gamma, dgamma=dgamma)
+
+
+def levi_civita(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
+    """gamma[c, a, b] = Gamma^c_ab (see :func:`connection`)."""
+    return connection(pb, tol_rel).gamma
+
+
+def christoffel_derivatives(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
+    """dgamma[e, c, a, b] = d_e Gamma^c_ab (see :func:`connection`)."""
+    return connection(pb, tol_rel).dgamma
 
 
 def connection_curvature(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -215,25 +233,21 @@ def connection_curvature(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 class CurvatureReport:
     z: np.ndarray
     metric: np.ndarray
-    christoffels: np.ndarray
+    connection: Connection
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
     residuals: Mapping[str, float]
 
 
-def curvature(pb: PullbackData, gamma: Optional[np.ndarray] = None,
-              dgamma: Optional[np.ndarray] = None) -> CurvatureReport:
+def curvature(pb: PullbackData) -> CurvatureReport:
     """Riemann, Ricci and scalar curvature of the induced metric at a
     slice point, with structural residual diagnostics."""
-    if gamma is None:
-        gamma = levi_civita(pb)
-    if dgamma is None:
-        dgamma = christoffel_derivatives(pb)
-    riemann = connection_curvature(gamma, dgamma)
+    conn = connection(pb)
+    gamma = conn.gamma
+    riemann = connection_curvature(gamma, conn.dgamma)
     ricci = np.einsum("abad->bd", riemann)
-    ginv = np.linalg.inv(pb.gbar)
-    scalar = float(np.einsum("bd,bd->", ginv, ricci))
+    scalar = float(np.einsum("bd,bd->", conn.ginv, ricci))
 
     r_scale = np.max(np.abs(riemann)) + _EPS
     antisym = float(np.max(np.abs(riemann + riemann.transpose(0, 1, 3, 2)))
@@ -244,7 +258,7 @@ def curvature(pb: PullbackData, gamma: Optional[np.ndarray] = None,
                - np.einsum("dca,db->cab", gamma, pb.gbar)
                - np.einsum("dcb,ad->cab", gamma, pb.gbar))
     compat = float(np.max(np.abs(nabla_g)) / (np.max(np.abs(pb.dgbar)) + _EPS))
-    return CurvatureReport(z=pb.z, metric=pb.gbar, christoffels=gamma,
+    return CurvatureReport(z=pb.z, metric=pb.gbar, connection=conn,
                            riemann=riemann, ricci=ricci, scalar=scalar,
                            residuals={"antisymmetry": antisym,
                                       "bianchi": bianchi,
@@ -261,13 +275,8 @@ def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray) -> float:
 
 
 def dual_flatness_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
-    """Curvature residual of the dual connection 2*Gamma (the
-    pulled-back flat connection has vanishing coefficients in the
-    adapted affine chart); zero in exact arithmetic."""
-    pb = pullback_metric(model, sl, z)
-    gamma = levi_civita(pb)
-    dgamma = christoffel_derivatives(pb)
-    return flatness_residual(2.0 * gamma, 2.0 * dgamma)
+    """:meth:`Connection.dual_flatness` at a slice point."""
+    return connection(pullback_metric(model, sl, z)).dual_flatness()
 
 
 # -- Legendre duality --------------------------------------------------
@@ -288,9 +297,7 @@ def dual_potential(model: PotentialModel, sl: SliceSpec, z,
     z = np.atleast_1d(np.asarray(z, dtype=float))
     jet = _pullback_jet(model, sl, z, order=1)
     x = sl.embed(z)
-    if not model.domain_check(x):
-        raise DomainError(f"embedded point {x.tolist()} violates the domain "
-                          f"of model {model.name!r}")
+    model.require_domain(x)
     value = float(z @ jet.gradient() - jet.value)
 
     ambient = model.potential_jet(x, order=1)
@@ -308,10 +315,7 @@ def dual_coordinates(model: PotentialModel, sl: SliceSpec, z) -> np.ndarray:
     """Gradient of the pulled-back potential: the dual affine chart of
     the dual Hessian structure."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = sl.embed(z)
-    if not model.domain_check(x):
-        raise DomainError(f"embedded point {x.tolist()} violates the domain "
-                          f"of model {model.name!r}")
+    model.require_domain(sl.embed(z))
     return _pullback_jet(model, sl, z, order=1).gradient()
 
 

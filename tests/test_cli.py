@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hessiometric import cli
+from hessiometric import cli, expr, geometry, models, submanifold
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +116,16 @@ def test_exit_domain_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("point", ["1e308,1,1", "1e-100,1,1", "inf,1,1"])
+def test_extreme_points_are_domain_errors(point, capsys):
+    # overflow, underflow to a zero divisor, and a non-finite coordinate
+    code, out, err = run_cli(["check", "ideal_gas", "--no-timestamp",
+                              "--point", point], capsys)
+    assert code == cli.EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # -- model files -------------------------------------------------------
 
 def test_file_model_matches_builtin(capsys):
@@ -180,6 +191,19 @@ def test_curvature_domain_rows(capsys):
     assert statuses == ["DOMAIN", "OK"]
 
 
+def test_curvature_in_domain_evaluation_failure_is_domain_error(tmp_path,
+                                                               capsys):
+    # the declared domain misses ln's constraint: not a DOMAIN row
+    model = tmp_path / "partial_domain.json"
+    model.write_text(json.dumps({"name": "partial", "coordinates": ["u", "v"],
+                                 "entropy": "ln(u - 1) + ln(v)",
+                                 "domain": ["u", "v"]}))
+    code, out, err = run_cli(["curvature", str(model), "--slice", "0,1=1",
+                              "--grid", "0.5:2:2", "--no-timestamp"], capsys)
+    assert code == cli.EXIT_DOMAIN_ERROR
+    assert out == "" and err.startswith("error: ")
+
+
 def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
     argv = ["curvature", "kerr_newman_radiant", "--slice", "0,0,1=0.25",
             "--grid", "1:2:3,0.1:0.3:3", "--no-timestamp"]
@@ -189,6 +213,36 @@ def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
     _, threaded, _ = run_cli(argv, capsys)
     assert serial == threaded == \
         (GOLDEN / "curvature_kn_radiant.csv").read_text()
+
+
+def test_curvature_row_evaluates_the_potential_once(monkeypatch):
+    model = models.builtin("kerr_newman_radiant")
+    sl = submanifold.make_slice([0, 0, 1], [0.25])
+    counts = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[key(result)] += 1
+            return result
+        return wrapper
+
+    monkeypatch.setattr(expr, "eval_finite", counted(
+        expr.eval_finite, lambda jet: f"jet_order_{jet.order}"))
+    metric = counted(geometry.hessian_metric, lambda _: "hessian_metric")
+    monkeypatch.setattr(geometry, "hessian_metric", metric)
+    monkeypatch.setattr(submanifold, "hessian_metric", metric)
+    for name in ("eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(
+            getattr(np.linalg, name), lambda _, name=name: name))
+
+    assert cli._curvature_row(model, sl, np.array([1.5, 0.2]))[-1] == "OK"
+    assert counts["jet_order_4"] == 1
+    assert counts["hessian_metric"] == 0
+    assert counts["eigvalsh"] == 1 and counts["inv"] == 1
+    counts.clear()
+    assert cli._curvature_row(model, sl, np.array([0.3, 0.2]))[-1] == "DOMAIN"
+    assert counts["jet_order_4"] == 0
 
 
 def test_values_round_trip_full_precision(capsys):

@@ -119,6 +119,13 @@ def test_domain_errors():
         Jet.constant(1.0, 1, 2) / Jet.seed((0.0,), 0, 2)
     with pytest.raises(DomainError):
         pow_const(Jet.seed((-1.0,), 0, 2), 0.5)
+    # derivative tables that overflow or divide by zero
+    with pytest.raises(DomainError):
+        ln(Jet.seed((1e-100,), 0, 4))
+    with pytest.raises(DomainError):
+        exp(Jet.seed((1000.0,), 0, 1))
+    with pytest.raises(DomainError):
+        pow_const(Jet.seed((1e308,), 0, 2), 1.5)
 
 
 def test_extract_order_exceeded():
@@ -132,24 +139,41 @@ def _random_poly_jet(rng, dim, order):
     return Jet(dim, order, rng.uniform(-1, 1, size=n))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_product_is_truncated_convolution(dim):
+@pytest.mark.parametrize("dim", range(1, 9))
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 10**6))
+def test_product_is_truncated_convolution(dim, order, seed):
     # brute-force convolution oracle over exponent tuples
-    rng = np.random.default_rng(42 + dim)
-    order = 4
-    for _ in range(5):
-        a = _random_poly_jet(rng, dim, order)
-        b = _random_poly_jet(rng, dim, order)
-        prod = a * b
-        from hessiometric.jets import _space
-        indices, rank, _, _ = _space(dim, order)
-        expected = np.zeros(len(indices))
-        for ia, ea in enumerate(indices):
-            for ib, eb in enumerate(indices):
-                tot = tuple(x + y for x, y in zip(ea, eb))
-                if sum(tot) <= order:
-                    expected[rank[tot]] += a.coeffs[ia] * b.coeffs[ib]
-        assert np.allclose(prod.coeffs, expected, rtol=0, atol=1e-14)
+    from hessiometric.jets import _space
+    rng = np.random.default_rng(seed)
+    a = _random_poly_jet(rng, dim, order)
+    b = _random_poly_jet(rng, dim, order)
+    prod = a * b
+    indices, rank, _, _, _ = _space(dim, order)
+    expected = np.zeros(len(indices))
+    for ia, ea in enumerate(indices):
+        for ib, eb in enumerate(indices):
+            if sum(ea) + sum(eb) > order:
+                break  # graded order: later eb only have higher degree
+            tot = tuple(x + y for x, y in zip(ea, eb))
+            expected[rank[tot]] += a.coeffs[ia] * b.coeffs[ib]
+    assert np.allclose(prod.coeffs, expected, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 10**6))
+def test_gathered_tensors_match_extract(dim, order, seed):
+    a = _random_poly_jet(np.random.default_rng(seed), dim, order)
+    tensors = [a.gradient, a.hessian, a.third_tensor, a.fourth_tensor]
+    for k, tensor in enumerate(tensors[:order], start=1):
+        t = tensor()
+        assert t.shape == (dim,) * k
+        for axes in product(range(dim), repeat=k):
+            idx = tuple(axes.count(i) for i in range(dim))
+            assert t[axes] == a.extract(idx)
+    for tensor in tensors[order:]:
+        with pytest.raises(ValueError):
+            tensor()
 
 
 @settings(max_examples=50, deadline=None)
