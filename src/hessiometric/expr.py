@@ -198,10 +198,10 @@ def validate(ast: Ast, variables: Sequence[str], parameters: Sequence[str]) -> N
 
 
 def eval_on(ast: Ast, env: Mapping[str, Jet]):
-    """Evaluate an AST over an environment of jets (one per identifier)."""
+    """Evaluate an AST over an environment of jets (one per identifier,
+    all of one batch shape)."""
     if isinstance(ast, Num):
-        sample = next(iter(env.values()))
-        return Jet.constant(ast.value, sample.dim, sample.order)
+        return next(iter(env.values())).constant_like(ast.value)
     if isinstance(ast, Name):
         return env[ast.name]
     if isinstance(ast, Neg):
@@ -217,9 +217,10 @@ def eval_on(ast: Ast, env: Mapping[str, Jet]):
             return left * right
         if ast.op == "/":
             return left / right
-        # power: constant exponents use the direct power rule
-        if not np.any(right.coeffs[1:]):
-            return jets.pow_const(left, right.value)
+        # power: an exponent constant over the batch uses the power rule
+        c = right.coeffs
+        if not c[1:].any() and (c.ndim == 1 or (c[0] == c[0, 0]).all()):
+            return jets.pow_const(left, c.flat[0])
         return left ** right
     if isinstance(ast, Call):
         arg = eval_on(ast.arg, env)
@@ -229,7 +230,8 @@ def eval_on(ast: Ast, env: Mapping[str, Jet]):
 
 def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
     """:func:`eval_on`, then one finiteness check of the finished jet:
-    infinite inputs and numpy overflow end here as a DomainError."""
+    infinite inputs and numpy overflow, at any point of a batch, end here
+    as a DomainError."""
     jet = eval_on(ast, env)
     if not np.isfinite(jet.coeffs).all():
         raise DomainError("expression value or derivatives are not finite")
@@ -239,16 +241,17 @@ def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
 def eval_jet(ast: Ast, variables: Sequence[str], point, params: Mapping[str, float],
              order: int) -> Jet:
     """Jet of the expression at ``point``, with all derivatives through
-    ``order`` taken with respect to ``variables`` in the given order."""
+    ``order`` taken with respect to ``variables`` in the given order (a
+    batched jet for points of shape (P, len(variables)))."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape[0] != len(variables):
-        raise ValueError(f"point has {point.shape[0]} components for "
+    if point.shape[-1] != len(variables):
+        raise ValueError(f"point has {point.shape[-1]} components for "
                          f"{len(variables)} variables")
     if order == 0:
-        env = {name: Jet.constant(point[i], len(variables), 0)
+        env = {name: Jet.constant(point[..., i], len(variables), 0)
                for i, name in enumerate(variables)}
     else:
-        env = {name: Jet.seed(point, i, order) for i, name in enumerate(variables)}
+        env = {name: Jet.seed(point.T, i, order) for i, name in enumerate(variables)}
     for name, value in params.items():
-        env[name] = Jet.constant(float(value), len(variables), order)
+        env[name] = env[variables[0]].constant_like(float(value))
     return eval_finite(ast, env)

@@ -9,6 +9,10 @@ Coefficients are stored densely, in graded-lexicographic order of the
 multi-indices, in Taylor form (derivative divided by the multi-index
 factorial).  This makes multiplication a plain truncated convolution;
 :func:`extract` multiplies the factorial back in.
+
+A trailing batch axis, coefficients (ncoeff, P), makes one jet hold P
+points; each column is computed exactly as its own unbatched jet, and
+the tensors of a batch come out with a leading batch axis.
 """
 
 from __future__ import annotations
@@ -68,10 +72,20 @@ def _jet(dim, order, coeffs):
 
 
 def _product(dim, order, a, b):
-    """Truncated convolution of two coefficient vectors.  ``bincount``
-    sums each slot in table order, as ``np.add.at`` would."""
+    """Truncated convolution of two coefficient arrays.  ``bincount``
+    sums each slot in table order, as ``np.add.at`` would, also over a
+    flattened (slot, point) index in every column of a batch."""
     ia, ib, ic = _space(dim, order)[2]
-    return np.bincount(ic, a[ia] * b[ib], len(a))
+    terms = a[ia] * b[ib]
+    if terms.ndim == 1:
+        return np.bincount(ic, terms, len(a))
+    flat = (ic[:, None] * a.shape[1] + np.arange(a.shape[1])).ravel()
+    return np.bincount(flat, terms.ravel(), a.size).reshape(a.shape)
+
+
+def _item(x):
+    """A float for one point, the array as is for a batch."""
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 class Jet:
@@ -85,20 +99,28 @@ class Jet:
         self.order = int(order)
         self.coeffs = np.asarray(coeffs, dtype=float)
         n = len(_space(self.dim, self.order)[0])
-        if self.coeffs.shape != (n,):
-            raise ValueError(f"expected {n} coefficients, got {self.coeffs.shape}")
+        if self.coeffs.shape[:1] != (n,) or self.coeffs.ndim > 2:
+            raise ValueError(f"expected {n} coefficients (and an optional batch "
+                             f"axis), got {self.coeffs.shape}")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, value, dim, order):
-        coeffs = np.zeros(len(_space(dim, order)[0]))
+        """Constant jet; an array ``value`` gives a batch of constants."""
+        coeffs = np.zeros((len(_space(dim, order)[0]),) + getattr(value, "shape", ()))
         coeffs[0] = value
         return _jet(dim, order, coeffs)
 
+    def constant_like(self, value):
+        """Constant ``value`` with this jet's dimension, order and batch."""
+        coeffs = np.zeros(self.coeffs.shape)
+        coeffs[0] = value
+        return _jet(self.dim, self.order, coeffs)
+
     @classmethod
     def seed(cls, point, var_index, order):
-        """Jet of the coordinate function x^var_index at ``point``."""
+        """Jet of the coordinate x^var_index at ``point``, (dim,) or (dim, P)."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
         dim = point.shape[0]
         if not 0 <= var_index < dim:
@@ -109,20 +131,20 @@ class Jet:
 
     @classmethod
     def affine(cls, value, gradient, order):
-        """Jet of an affine function with the given value and gradient."""
+        """Jet of an affine function with the given value(s) and gradient."""
         gradient = np.asarray(gradient, dtype=float)
         dim = gradient.shape[0]
         indices, _, _, _, tensors = _space(dim, order)
-        coeffs = np.zeros(len(indices))
+        coeffs = np.zeros((len(indices),) + getattr(value, "shape", ()))
         coeffs[0] = value
-        coeffs[tensors[0][0]] = gradient  # first-order slots
+        coeffs[tensors[0][0]] = gradient if coeffs.ndim == 1 else gradient[:, None]
         return _jet(dim, order, coeffs)
 
     # -- basic accessors ----------------------------------------------
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        return _item(self.coeffs[0])
 
     def extract(self, idx):
         """Partial derivative for the multi-index ``idx`` (a tuple of
@@ -136,16 +158,16 @@ class Jet:
             raise ValueError(f"multi-index order {sum(idx)} exceeds jet order {self.order}")
         _, rank, _, factorials, _ = _space(self.dim, self.order)
         r = rank[idx]
-        return float(self.coeffs[r] * factorials[r])
+        return _item(self.coeffs[r] * factorials[r])
 
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Jet):
-            if other.dim != self.dim or other.order != self.order:
-                raise ValueError("jet dim/order mismatch")
+            if other.dim != self.dim or other.coeffs.shape != self.coeffs.shape:
+                raise ValueError("jet dim/order/batch mismatch")
             return other
-        return Jet.constant(float(other), self.dim, self.order)
+        return self.constant_like(float(other))
 
     def __neg__(self):
         return _jet(self.dim, self.order, -self.coeffs)
@@ -175,13 +197,9 @@ class Jet:
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return _jet(self.dim, self.order, self.coeffs / float(other))
-        if other.value == 0.0:
-            raise DomainError("division by a jet with zero value")
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
-        if self.value == 0.0:
-            raise DomainError("division by a jet with zero value")
         return _reciprocal(self) * float(other)
 
     def __pow__(self, exponent):
@@ -193,8 +211,8 @@ class Jet:
     # -- composition --------------------------------------------------
 
     def compose(self, derivs):
-        """Univariate composition f(self), given the values
-        f(a0), f'(a0), ..., f^(order)(a0) at a0 = self.value.
+        """Univariate composition f(self), given f(a0), f'(a0), ...,
+        f^(order)(a0) at a0 = self.value (an (order + 1, P) array for a batch).
 
         Implements Faa di Bruno through the truncation order by
         expanding f around a0 in powers of the non-constant part.
@@ -215,7 +233,8 @@ class Jet:
         if k > self.order:
             raise ValueError(f"order-{k} tensor exceeds jet order {self.order}")
         slots, scale = _space(self.dim, self.order)[4][k - 1]
-        return self.coeffs[slots] * scale
+        c = self.coeffs
+        return (c.T[..., slots] if c.ndim > 1 else c[slots]) * scale
 
     gradient = partialmethod(_tensor, 1)
     hessian = partialmethod(_tensor, 2)
@@ -228,74 +247,70 @@ class Jet:
 
 # -- elementary functions ---------------------------------------------
 
-def _derivative_table(fn):
-    """DomainError where a derivative table overflows or divides by zero."""
-    @wraps(fn)
-    def guarded(a, *args):
+def _elementary(table):
+    """Jet function from a derivative table ``table(v, order, *args)`` =
+    [f(v), f'(v), ..., f^(order)(v)] in plain floats.  A batch takes the
+    table point by point, so each column is exactly the unbatched result;
+    a table that leaves the float range is a DomainError."""
+    @wraps(table)
+    def fn(a: Jet, *args) -> Jet:
+        v = a.coeffs[0]
         try:
-            return fn(a, *args)
+            if v.ndim == 0:
+                return a.compose(table(float(v), a.order, *args))
+            derivs = [table(x, a.order, *args) for x in v.tolist()]
         except (OverflowError, ZeroDivisionError):
-            raise DomainError(f"derivatives of {fn.__name__.strip('_')} at "
+            raise DomainError(f"derivatives of {table.__name__.strip('_')} at "
                               f"{a.value!r} leave the float range") from None
-    return guarded
+        return a.compose(np.array(derivs).T)
+    return fn
 
 
-@_derivative_table
-def _reciprocal(a: Jet) -> Jet:
-    v = a.value
-    derivs = [1 / v, -1 / v**2, 2 / v**3, -6 / v**4, 24 / v**5]
-    return a.compose(derivs[: a.order + 1])
+@_elementary
+def _reciprocal(v, order):
+    if v == 0.0:
+        raise DomainError("division by a jet with zero value")
+    return [1 / v, -1 / v**2, 2 / v**3, -6 / v**4, 24 / v**5][: order + 1]
 
 
-@_derivative_table
-def ln(a: Jet) -> Jet:
-    v = a.value
+@_elementary
+def ln(v, order):
     if v <= 0.0:
         raise DomainError(f"ln of non-positive value {v}")
-    derivs = [math.log(v), 1 / v, -1 / v**2, 2 / v**3, -6 / v**4]
-    return a.compose(derivs[: a.order + 1])
+    return [math.log(v), 1 / v, -1 / v**2, 2 / v**3, -6 / v**4][: order + 1]
 
 
-@_derivative_table
-def exp(a: Jet) -> Jet:
-    ev = math.exp(a.value)
-    return a.compose([ev] * (a.order + 1))
+@_elementary
+def exp(v, order):
+    return [math.exp(v)] * (order + 1)
 
 
-@_derivative_table
-def sqrt(a: Jet) -> Jet:
-    v = a.value
+@_elementary
+def sqrt(v, order):
     if v <= 0.0:
         raise DomainError(f"sqrt of non-positive value {v}")
     s = math.sqrt(v)
-    derivs = [s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v), -0.9375 / (s * v**3)]
-    return a.compose(derivs[: a.order + 1])
+    return [s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
+            -0.9375 / (s * v**3)][: order + 1]
 
 
-@_derivative_table
-def pow_const(a: Jet, p: float) -> Jet:
+@_elementary
+def pow_const(v, order, p):
     """a**p for a real constant exponent.
 
-    Integer exponents work for any nonzero base; fractional exponents
-    require a positive base value.
+    Integer exponents work for any nonzero base, non-negative ones also
+    at zero; fractional exponents require a positive base value.
     """
-    v = a.value
-    if p == 0.0:
-        return Jet.constant(1.0, a.dim, a.order)
-    is_int = float(p).is_integer()
+    p = float(p)
+    is_int = p.is_integer()
     if not is_int and v <= 0.0:
         raise DomainError(f"fractional power {p} of non-positive value {v}")
-    if is_int and v == 0.0:
-        if p < 0:
-            raise DomainError("negative power of zero value")
-        # small non-negative integer power of a zero-valued jet: multiply out
-        out = Jet.constant(1.0, a.dim, a.order)
-        for _ in range(int(p)):
-            out = out * a
-        return out
+    if is_int and v == 0.0 and p < 0:
+        raise DomainError("negative power of zero value")
     derivs = [v**p]
     fac = 1.0
-    for k in range(1, a.order + 1):
+    for k in range(1, order + 1):
         fac *= p - (k - 1)
-        derivs.append(fac * v ** (p - k))
-    return a.compose(derivs)
+        # beyond the degree of an integer power the derivative is exactly 0
+        derivs.append(fac * v ** (p - k) if fac else 0.0)
+    return derivs

@@ -48,27 +48,35 @@ class PotentialModel:
     def entropy_value(self, point) -> float:
         return self.entropy_jet(point, order=1).value
 
-    def domain_check(self, point) -> bool:
+    def domain_check(self, point):
         """True iff every domain constraint is strictly positive at
-        ``point`` (and evaluable at all)."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape[0] != self.dim:
-            raise ValueError(f"point has {point.shape[0]} components, model "
+        ``point`` (and evaluable at all); a mask for points (P, dim), where
+        a failed evaluation marks only its own point."""
+        x = np.atleast_1d(np.asarray(point, dtype=float))
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"point has {x.shape[-1]} components, model "
                              f"dimension is {self.dim}")
+        if x.ndim == 1:
+            return all(self._positive(constraint, x) for constraint in self.domain)
+        inside = np.ones(len(x), dtype=bool)
         for constraint in self.domain:
-            try:
-                value = expr.eval_jet(constraint, self.coordinates, point,
-                                      self.parameters, order=1).value
-            except DomainError:
-                return False
-            if not value > 0.0:
-                return False
-        return True
+            if inside.any():
+                inside[inside] = self._positive(constraint, x[inside])
+        return inside
+
+    def _positive(self, constraint: Ast, x):
+        try:
+            return expr.eval_jet(constraint, self.coordinates, x,
+                                 self.parameters, order=1).value > 0.0
+        except DomainError:  # a batch retries point by point
+            return x.ndim > 1 and np.array([self._positive(constraint, p) for p in x])
 
     def require_domain(self, point) -> None:
-        """Raise DomainError unless :meth:`domain_check` holds."""
-        if not self.domain_check(point):
-            raise DomainError(f"point {np.asarray(point).tolist()} violates "
+        """Raise DomainError unless :meth:`domain_check` holds (everywhere)."""
+        inside = np.atleast_1d(self.domain_check(point))
+        if not inside.all():
+            bad = np.atleast_2d(np.asarray(point))[~inside][0]
+            raise DomainError(f"point {bad.tolist()} violates "
                               f"the domain of model {self.name!r}")
 
 

@@ -6,7 +6,7 @@ coordinates z parametrize the slice.  The pulled-back potential is again
 a Hessian potential in z, which gives the induced metric, its
 Levi-Civita connection and curvature (the Ruppeiner-style scalar), the
 Legendre-dual potential and dual coordinates, and the flatness of the
-dual connection.
+dual connection.  A batch of slice points (P, r) is evaluated at once.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import expr
-from .errors import (DegenerateSliceError, RankDeficientError,
+from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
 from .geometry import hessian_metric, require_finite
-from .jets import Jet
+from .jets import Jet, _item
 from .models import PotentialModel
 
 _EPS = 1e-300
@@ -55,8 +54,9 @@ class SliceSpec:
         return self.chart_inv[:, self.slice_dim:] @ self.constants
 
     def embed(self, z) -> np.ndarray:
+        """Ambient point(s) of z, (r,) or (P, r), each rounded as alone."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        return self.jacobian @ z + self.offset
+        return (self.jacobian @ z[..., None])[..., 0] + self.offset
 
     def project(self, x) -> np.ndarray:
         """Slice coordinates of an ambient point (assumed on the slice)."""
@@ -69,10 +69,14 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
 
     The adapted chart completes B with standard basis vectors chosen by
     column-pivoted QR, orthogonalized against B's row space; axis-aligned
-    constraints therefore keep the remaining coordinates verbatim.
+    constraints therefore keep the remaining coordinates verbatim.  Greedy
+    pivots (largest residual norm, as LAPACK's) may break exact ties of an
+    integer B with several rows differently.  Non-finite B, c: DomainError.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    if not (np.isfinite(B).all() and np.isfinite(c).all()):
+        raise DomainError("slice constraints and constants must be finite")
     m, nb = B.shape
     if n is None:
         n = nb
@@ -85,15 +89,21 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
     r = n - m
 
     scale = np.linalg.norm(B)
-    q_full, r_fact = scipy.linalg.qr(B.T)
+    q_full, r_fact = np.linalg.qr(B.T, mode="complete")
     diag = np.abs(np.diag(r_fact[:m, :m]))
     if np.any(diag <= 1e-12 * scale):
         raise RankDeficientError("constraint matrix is rank-deficient")
-    q_rows = q_full[:, :m]        # orthonormal basis of B's row space
+    # orthonormal basis of B's row space, column-major as LAPACK returns
+    # it: the layout decides how the projections below round
+    q_rows = np.asfortranarray(q_full[:, :m])
     q_comp = q_full[:, m:]        # orthonormal complement
 
-    _, _, pivots = scipy.linalg.qr(B, pivoting=True)
-    free = [j for j in range(n) if j not in set(pivots[:m])][:r]
+    pivots, rest = [], B.copy()
+    for _ in range(m):
+        pivots.append(int(np.argmax(np.sum(rest * rest, axis=0))))
+        q = rest[:, pivots[-1]] / np.linalg.norm(rest[:, pivots[-1]])
+        rest -= np.outer(q, q @ rest)
+    free = [j for j in range(n) if j not in pivots][:r]
     rows = np.empty((r, n))
     for i, j in enumerate(free):
         e = np.zeros(n)
@@ -121,7 +131,7 @@ class PullbackData:
     slice: SliceSpec
     z: np.ndarray
     x: np.ndarray
-    potential: float          # pulled-back potential value
+    potential: float          # pulled-back potential value(s)
     gradient: np.ndarray      # d(potential)/dz
     gbar: np.ndarray
     dgbar: np.ndarray
@@ -142,18 +152,18 @@ def _pullback_jet(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> Je
     """Jet in z of the pulled-back potential, via affine coordinate jets."""
     x = sl.embed(z)
     a = sl.jacobian
-    env = {name: Jet.affine(x[i], a[i], order)
+    env = {name: Jet.affine(x[..., i], a[i], order)
            for i, name in enumerate(model.coordinates)}
     for name, value in model.parameters.items():
-        env[name] = Jet.constant(float(value), sl.slice_dim, order)
+        env[name] = env[model.coordinates[0]].constant_like(float(value))
     return -expr.eval_finite(model.entropy, env)
 
 
 def pullback_metric(model: PotentialModel, sl: SliceSpec, z) -> PullbackData:
-    """Induced metric and its z-derivatives at a slice point, from one
-    order-4 jet of the pulled-back potential.  Raises DomainError off
-    the model domain.  ``two_path_residual`` of the result is an
-    on-demand chain-rule cross-check against the ambient metric."""
+    """Induced metric and its z-derivatives at a slice point (or a batch z
+    of shape (P, r)), from one order-4 jet of the pulled-back potential.
+    Raises DomainError off the model domain.  ``two_path_residual`` of the
+    result is an on-demand chain-rule cross-check against the ambient metric."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = sl.embed(z)
     model.require_domain(x)
@@ -173,14 +183,16 @@ def pullback_metric(model: PotentialModel, sl: SliceSpec, z) -> PullbackData:
 class Connection:
     """Levi-Civita connection of the induced metric, from one
     factorisation of it: gamma[c, a, b] = Gamma^c_ab and
-    dgamma[e, c, a, b] = d_e Gamma^c_ab."""
+    dgamma[e, c, a, b] = d_e Gamma^c_ab.  ``singular`` marks degenerate points
+    of a batch, computed with the identity in place of their metric."""
 
     eigenvalues: np.ndarray  # ascending spectrum of gbar
     ginv: np.ndarray
     gamma: np.ndarray
     dgamma: np.ndarray
+    singular: np.ndarray
 
-    def dual_flatness(self) -> float:
+    def dual_flatness(self):
         """Curvature residual of the dual connection 2*Gamma (the flat one
         vanishes in the adapted affine chart); zero in exact arithmetic."""
         return flatness_residual(2.0 * self.gamma, 2.0 * self.dgamma)
@@ -189,24 +201,24 @@ class Connection:
 def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
     """Connection of the induced metric, analytic from the third and fourth
     derivatives of the potential.  Raises DegenerateSliceError when the
-    slice is not transversal to the kernel."""
+    slice is not transversal to the kernel (a batch flags ``singular``)."""
     lam = np.linalg.eigvalsh(pb.gbar)
-    if lam[0] <= tol_rel * np.max(np.abs(lam)):
+    singular = lam[..., 0] <= tol_rel * _amax(lam, 1)
+    if singular.ndim == 0 and singular:
         raise DegenerateSliceError(
             f"pulled-back metric is singular at z={pb.z.tolist()} "
             f"(eigenvalues {lam.tolist()})")
-    ginv = np.linalg.inv(pb.gbar)
-    low = 0.5 * (np.einsum("abc->cab", pb.dgbar)
-                 + np.einsum("bac->cab", pb.dgbar)
-                 - pb.dgbar)
-    dlow = 0.5 * (np.einsum("eabd->edab", pb.d2gbar)
-                  + np.einsum("ebad->edab", pb.d2gbar)
-                  - np.einsum("edab->edab", pb.d2gbar))
-    dginv = -np.einsum("ca,eab,bd->ecd", ginv, pb.dgbar, ginv)
-    gamma = np.einsum("cd,dab->cab", ginv, low)
-    dgamma = (np.einsum("ecd,dab->ecab", dginv, low)
-              + np.einsum("cd,edab->ecab", ginv, dlow))
-    return Connection(eigenvalues=lam, ginv=ginv, gamma=gamma, dgamma=dgamma)
+    ginv = np.linalg.inv(np.where(singular[..., None, None], np.eye(len(lam.T)), pb.gbar))
+    d, d2 = pb.dgbar, pb.d2gbar
+    low = 0.5 * (np.einsum("...abc->...cab", d) + np.einsum("...bac->...cab", d) - d)
+    dlow = 0.5 * (np.einsum("...eabd->...edab", d2)
+                  + np.einsum("...ebad->...edab", d2) - d2)
+    dginv = -np.einsum("...ca,...eab,...bd->...ecd", ginv, d, ginv)
+    gamma = np.einsum("...cd,...dab->...cab", ginv, low)
+    dgamma = (np.einsum("...ecd,...dab->...ecab", dginv, low)
+              + np.einsum("...cd,...edab->...ecab", ginv, dlow))
+    return Connection(eigenvalues=lam, ginv=ginv, gamma=gamma, dgamma=dgamma,
+                      singular=singular)
 
 
 def levi_civita(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
@@ -222,11 +234,14 @@ def christoffel_derivatives(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarr
 def connection_curvature(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Curvature tensor R[a, b, c, d] = R^a_bcd of a connection given
     its coefficients and their coordinate derivatives."""
-    term1 = np.einsum("cadb->abcd", dgamma)
-    term2 = np.einsum("dacb->abcd", dgamma)
-    term3 = np.einsum("ace,edb->abcd", gamma, gamma)
-    term4 = np.einsum("ade,ecb->abcd", gamma, gamma)
-    return term1 - term2 + term3 - term4
+    return (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma)
+            + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+            - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
+
+
+def _amax(a: np.ndarray, k: int):
+    """Largest |entry| over the last k axes (per point for a batch)."""
+    return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
 
 
 @dataclass
@@ -242,36 +257,37 @@ class CurvatureReport:
 
 def curvature(pb: PullbackData) -> CurvatureReport:
     """Riemann, Ricci and scalar curvature of the induced metric at a
-    slice point, with structural residual diagnostics."""
+    slice point, with structural residual diagnostics (arrays for a batch,
+    meaningless where ``connection.singular``)."""
     conn = connection(pb)
     gamma = conn.gamma
     riemann = connection_curvature(gamma, conn.dgamma)
-    ricci = np.einsum("abad->bd", riemann)
-    scalar = float(np.einsum("bd,bd->", conn.ginv, ricci))
+    ricci = np.einsum("...abad->...bd", riemann)
+    scalar = np.einsum("...bd,...bd->...", conn.ginv, ricci)
 
-    r_scale = np.max(np.abs(riemann)) + _EPS
-    antisym = float(np.max(np.abs(riemann + riemann.transpose(0, 1, 3, 2)))
-                    / r_scale)
-    bianchi = float(np.max(np.abs(riemann + riemann.transpose(0, 2, 3, 1)
-                                  + riemann.transpose(0, 3, 1, 2))) / r_scale)
-    nabla_g = (np.einsum("cab->cab", pb.dgbar)
-               - np.einsum("dca,db->cab", gamma, pb.gbar)
-               - np.einsum("dcb,ad->cab", gamma, pb.gbar))
-    compat = float(np.max(np.abs(nabla_g)) / (np.max(np.abs(pb.dgbar)) + _EPS))
+    r_scale = _amax(riemann, 4) + _EPS
+    antisym = _amax(riemann + riemann.swapaxes(-1, -2), 4) / r_scale
+    bianchi = _amax(riemann + np.einsum("...adbc->...abcd", riemann)
+                    + np.einsum("...acdb->...abcd", riemann), 4) / r_scale
+    nabla_g = (pb.dgbar
+               - np.einsum("...dca,...db->...cab", gamma, pb.gbar)
+               - np.einsum("...dcb,...ad->...cab", gamma, pb.gbar))
+    compat = _amax(nabla_g, 3) / (_amax(pb.dgbar, 3) + _EPS)
     return CurvatureReport(z=pb.z, metric=pb.gbar, connection=conn,
-                           riemann=riemann, ricci=ricci, scalar=scalar,
-                           residuals={"antisymmetry": antisym,
-                                      "bianchi": bianchi,
-                                      "metric_compatibility": compat})
+                           riemann=riemann, ricci=ricci,
+                           scalar=_item(scalar),
+                           residuals={"antisymmetry": _item(antisym),
+                                      "bianchi": _item(bianchi),
+                                      "metric_compatibility": _item(compat)})
 
 
-def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray) -> float:
+def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray):
     """Size of the curvature of a connection, normalized by the natural
-    scale of its coefficients."""
+    scale of its coefficients (per point for a batch)."""
     riemann = connection_curvature(gamma, dgamma)
-    scale = max(float(np.max(np.abs(gamma))) ** 2,
-                float(np.max(np.abs(dgamma))), _EPS)
-    return float(np.max(np.abs(riemann)) / scale)
+    g = _amax(gamma, 3)
+    scale = np.maximum(np.maximum(g * g, _amax(dgamma, 4)), _EPS)
+    return _item(_amax(riemann, 4) / scale)
 
 
 def dual_flatness_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
@@ -313,7 +329,7 @@ def dual_potential(model: PotentialModel, sl: SliceSpec, z,
 
 def dual_coordinates(model: PotentialModel, sl: SliceSpec, z) -> np.ndarray:
     """Gradient of the pulled-back potential: the dual affine chart of
-    the dual Hessian structure."""
+    the dual Hessian structure (per point for a batch z of shape (P, r))."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     model.require_domain(sl.embed(z))
     return _pullback_jet(model, sl, z, order=1).gradient()
@@ -330,16 +346,12 @@ def legendre_invariance_residual(model: PotentialModel, sl: SliceSpec, z) -> flo
     z = np.atleast_1d(np.asarray(z, dtype=float))
     pb = pullback_metric(model, sl, z)
     r = sl.slice_dim
-    jac = np.empty((r, r))
-    for b in range(r):
-        h = 1e-4 * (1.0 + abs(float(z[b])))
-        step = np.zeros(r)
-        step[b] = h
-        # 5-point stencil: truncation well below the comparison tolerances
-        jac[:, b] = (-dual_coordinates(model, sl, z + 2 * step)
-                     + 8 * dual_coordinates(model, sl, z + step)
-                     - 8 * dual_coordinates(model, sl, z - step)
-                     + dual_coordinates(model, sl, z - 2 * step)) / (12 * h)
+    h = 1e-4 * (1.0 + np.abs(z))
+    # 5-point stencil along each axis, its 4r points in one batch:
+    # truncation well below the comparison tolerances
+    stencil = z + np.multiply.outer([2, 1, -1, -2], np.diag(h))
+    d = dual_coordinates(model, sl, stencil.reshape(-1, r)).reshape(4, r, r)
+    jac = ((-d[0] + 8 * d[1] - 8 * d[2] + d[3]) / (12 * h[:, None])).T
     if np.linalg.cond(jac) > 1e12:
         raise SingularDualChartError(
             f"dual-coordinate Jacobian is singular at z={z.tolist()}")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -102,6 +103,17 @@ def test_exit_model_error_malformed_slice(capsys):
     code, _, _ = run_cli(["curvature", "ideal_gas", "--slice", "0,0,1",
                           "--grid", "1:2:2,1:2:2"], capsys)
     assert code == cli.EXIT_MODEL_ERROR
+
+
+@pytest.mark.parametrize("spec", ["inf,0,1=1", "nan,0,1=1", "0,0,1=inf"])
+def test_non_finite_slice_is_usage_error(spec, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["curvature", "ideal_gas", "--slice", spec,
+                                  "--grid", "1:2:2,1:2:2"], capsys)
+    assert code == cli.EXIT_MODEL_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_exit_model_error_dimension_mismatch(capsys):
@@ -215,7 +227,7 @@ def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
         (GOLDEN / "curvature_kn_radiant.csv").read_text()
 
 
-def test_curvature_row_evaluates_the_potential_once(monkeypatch):
+def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     model = models.builtin("kerr_newman_radiant")
     sl = submanifold.make_slice([0, 0, 1], [0.25])
     counts = Counter()
@@ -236,13 +248,34 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(
             getattr(np.linalg, name), lambda _, name=name: name))
 
-    assert cli._curvature_row(model, sl, np.array([1.5, 0.2]))[-1] == "OK"
+    assert cli._curvature_rows(model, sl, np.array([[1.5, 0.2]]))[0][-1] == "OK"
     assert counts["jet_order_4"] == 1
     assert counts["hessian_metric"] == 0
     assert counts["eigvalsh"] == 1 and counts["inv"] == 1
     counts.clear()
-    assert cli._curvature_row(model, sl, np.array([0.3, 0.2]))[-1] == "DOMAIN"
+    assert cli._curvature_rows(model, sl, np.array([[0.3, 0.2]]))[0][-1] == "DOMAIN"
     assert counts["jet_order_4"] == 0
+
+    # a 64-point scan call across the extremal boundary: the same work
+    # for the whole grid as for one point
+    def scan(grid):
+        counts.clear()
+        code, out, _ = run_cli(["curvature", "kerr_newman_radiant", "--slice",
+                                "0,0,1=0.25", "--grid", grid, "--no-timestamp"],
+                               capsys)
+        assert code == cli.EXIT_OK
+        return Counter(row.rsplit(",", 1)[1] for row in out.splitlines()[1:])
+
+    # (the call also inverts the adapted chart of its slice once)
+    statuses = scan("0.3:2:8,0.05:0.35:8")
+    assert statuses["OK"] + statuses["DOMAIN"] == 64
+    assert statuses["OK"] and statuses["DOMAIN"]
+    assert counts["jet_order_4"] == 1
+    assert counts["hessian_metric"] == 0
+    assert counts["eigvalsh"] == 1 and counts["inv"] == 1 + 1
+    assert scan("0.05:0.2:8,0.05:0.35:8") == {"DOMAIN": 64}
+    assert counts["jet_order_4"] == 0
+    assert counts["eigvalsh"] == 0 and counts["inv"] == 0 + 1
 
 
 def test_values_round_trip_full_precision(capsys):
@@ -265,6 +298,15 @@ def test_python_m_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["model"] == "ideal_gas"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hessiometric.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_points_is_usage_error(capsys):

@@ -198,3 +198,52 @@ def test_sqrt_square_roundtrip(dim, seed):
 def test_dim_mismatch_rejected():
     with pytest.raises(ValueError):
         Jet.seed((1.0,), 0, 2) + Jet.seed((1.0, 2.0), 0, 2)
+
+
+# -- batches ---------------------------------------------------------------
+
+def _column(jet, p):
+    return Jet(jet.dim, jet.order, jet.coeffs[:, p])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(1, 16),
+       st.integers(0, 10**6))
+def test_batched_jets_equal_their_columns(dim, order, points, seed):
+    rng = np.random.default_rng(seed)
+    n = len(Jet.constant(0.0, dim, order).coeffs)
+    a = Jet(dim, order, rng.uniform(-1, 1, size=(n, points)))
+    b = Jet(dim, order, rng.uniform(-1, 1, size=(n, points)))
+    a.coeffs[0] = rng.uniform(0.5, 2.0, points)  # ln, sqrt, powers, 1/a
+    b.coeffs[0] = rng.uniform(-2.0, 2.0, points)
+    b.coeffs[0, 0] = 0.0  # integer powers of a zero value
+    derivs = rng.uniform(-1, 1, size=(order + 1, points))
+    ops = [lambda x, y, d: x * y, lambda x, y, d: y / x,
+           lambda x, y, d: 2.5 / x, lambda x, y, d: x + 1.0 - y,
+           lambda x, y, d: ln(x), lambda x, y, d: exp(y), lambda x, y, d: sqrt(x),
+           lambda x, y, d: pow_const(x, 1.5), lambda x, y, d: pow_const(x, -2),
+           lambda x, y, d: pow_const(y, 3), lambda x, y, d: pow_const(y, 0),
+           lambda x, y, d: x.compose(d)]
+    tensors = ["gradient", "hessian", "third_tensor", "fourth_tensor"][:order]
+    for op in ops:
+        batch = op(a, b, derivs)
+        assert batch.coeffs.shape == (n, points)
+        for p in range(points):
+            single = op(_column(a, p), _column(b, p), derivs[:, p])
+            assert np.array_equal(batch.coeffs[:, p], single.coeffs)
+            assert batch.value[p] == single.value
+    for name in tensors:
+        t = getattr(a, name)()
+        assert t.shape[0] == points
+        for p in range(points):
+            assert np.array_equal(t[p], getattr(_column(a, p), name)())
+
+
+def test_batch_fails_where_a_point_fails():
+    x = Jet(1, 2, [[1.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(DomainError):
+        ln(x)
+    with pytest.raises(DomainError):
+        1 / Jet(1, 2, [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        x * Jet.seed((1.0,), 0, 2)  # batched times unbatched

@@ -116,3 +116,20 @@ def test_domains_are_scale_closed():
             assert model.domain_check(p)
             for lam in (0.5, 2.0, 10.0):
                 assert model.domain_check(lam * p)
+
+
+def test_batched_domain_mask_matches_points():
+    # ln(u) cannot be evaluated at u <= 0, 1/v not at v = 0: such a failure
+    # marks only its own point of the batch
+    model = load_model(json.dumps({"name": "m", "coordinates": ["u", "v"],
+                                   "entropy": "u + v",
+                                   "domain": ["ln(u) + 2", "1/v"]}))
+    points = np.array([[u, v] for u in (-1.0, 0.0, 0.1, 1.0, 2.0)
+                       for v in (-1.0, 0.0, 0.5)])
+    mask = model.domain_check(points)
+    assert mask.tolist() == [model.domain_check(p) for p in points]
+    assert mask.any() and not mask.all()
+    kn = builtin("kerr_newman_radiant")
+    grid = np.array([[u, q, 0.25] for u in np.linspace(0.1, 2, 9)
+                     for q in np.linspace(0, 0.4, 9)])
+    assert kn.domain_check(grid).tolist() == [kn.domain_check(p) for p in grid]

@@ -1,12 +1,15 @@
+import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from helpers import (fd_scalar_curvature, metric_ideal_gas,
                      metric_kn_radiant_jslice)
-from hessiometric import builtin
-from hessiometric.errors import DegenerateSliceError, RankDeficientError
+from hessiometric import builtin, load_model
+from hessiometric.errors import (DegenerateSliceError, DomainError,
+                                 RankDeficientError)
 from hessiometric.submanifold import (christoffel_derivatives, curvature,
                                       dual_coordinates,
                                       dual_flatness_residual, dual_potential,
@@ -63,6 +66,48 @@ def test_chart_last_rows_equal_constraints_exactly():
     B = rng.standard_normal((2, 5))
     sl = make_slice(B, [0.4, -0.1])
     assert np.array_equal(sl.chart[3:], B)
+
+
+def _lapack_chart(B):
+    """The adapted chart as built from scipy's QR and pivoted QR."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    m, n = B.shape
+    q_full, _ = scipy_linalg.qr(B.T)
+    q_rows = q_full[:, :m]
+    pivots = scipy_linalg.qr(B, pivoting=True)[2]
+    free = [j for j in range(n) if j not in set(pivots[:m])][: n - m]
+    rows = np.empty((n - m, n))
+    for i, j in enumerate(free):
+        e = np.zeros(n)
+        e[j] = 1.0
+        rows[i] = e - q_rows @ (q_rows.T @ e)
+    if np.linalg.matrix_rank(rows, tol=1e-10) < n - m:
+        rows = q_full[:, m:].T
+    chart = np.vstack([rows, B])
+    return chart, np.linalg.inv(chart)
+
+
+def test_adapted_chart_matches_lapack_pivoted_qr():
+    slices = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [1, -1, 0], [1, 1, 0],
+              [0.3, 0.7, 0.2], [1, 2, 3], [0, 1],
+              [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]
+    rng = np.random.default_rng(31)  # Gaussian constraints as drawn above
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        slices.append(rng.standard_normal((int(rng.integers(1, n)), n)))
+    for B in slices:
+        sl = make_slice(B, np.ones(np.atleast_2d(B).shape[0]))
+        chart, chart_inv = _lapack_chart(B)
+        assert np.array_equal(sl.chart, chart)
+        assert np.array_equal(sl.chart_inv, chart_inv)
+
+
+def test_non_finite_slice_rejected():
+    for B, c in (([np.inf, 0, 1], [1]), ([np.nan, 0, 1], [1]),
+                 ([0, 0, 1], [np.inf])):
+        with pytest.raises(DomainError):
+            make_slice(B, c)
 
 
 # -- pullback ----------------------------------------------------------
@@ -212,6 +257,72 @@ def test_christoffel_identity_all_indices_down():
     gamma = levi_civita(pb)
     lowered = np.einsum("cd,dab->cab", pb.gbar, gamma)
     assert np.allclose(lowered, 0.5 * pb.dgbar, rtol=1e-10, atol=1e-12)
+
+
+def _statuses_one_by_one(model, sl, zs):
+    out = []
+    for z in zs:
+        if not model.domain_check(sl.embed(z)):
+            out.append(("DOMAIN",))
+            continue
+        try:
+            report = curvature(pullback_metric(model, sl, z))
+        except DegenerateSliceError:
+            out.append(("KERNEL",))
+            continue
+        conn = report.connection
+        out.append(("OK", report.scalar, conn.eigenvalues[0],
+                    conn.dual_flatness(), report.residuals["bianchi"]))
+    return out
+
+
+def _statuses_batched(model, sl, zs):
+    out = [("DOMAIN",)] * len(zs)
+    inside = np.flatnonzero(model.domain_check(sl.embed(zs)))
+    report = curvature(pullback_metric(model, sl, zs[inside]))
+    conn = report.connection
+    flatness = conn.dual_flatness()
+    for k, i in enumerate(inside):
+        out[i] = (("KERNEL",) if conn.singular[k] else
+                  ("OK", report.scalar[k], conn.eigenvalues[k, 0], flatness[k],
+                   report.residuals["bianchi"][k]))
+    return out
+
+
+@pytest.mark.parametrize("name, B, c, axes", [
+    # across the extremal boundary, plus a point where the metric blows up
+    ("kerr_newman_radiant", [0, 0, 1], 0.25,
+     [np.linspace(0.3, 2.0, 9), np.linspace(0.05, 0.375, 8)]),
+    # tangent to the radiant direction: every in-domain point is KERNEL
+    ("ideal_gas", [1, -1, 0], 0.0,
+     [np.linspace(-1.0, 1.5, 6), np.linspace(-0.5, 1.5, 5)]),
+    ("paramagnet", [1, 2, 3], 4.0, [np.linspace(-1, 1, 7)] * 2),
+])
+def test_batched_curvature_matches_single_points(name, B, c, axes):
+    model = builtin(name)
+    sl = make_slice(B, [c])
+    zs = np.array(list(product(*axes)))
+    if name == "kerr_newman_radiant":
+        zs = np.vstack([zs, [[0.5, 0.374999999999]]])
+    batched = _statuses_batched(model, sl, zs)
+    assert batched == _statuses_one_by_one(model, sl, zs)
+    assert {s[0] for s in batched} >= ({"DOMAIN", "KERNEL"} if name == "ideal_gas"
+                                       else {"DOMAIN", "OK"})
+    if name == "kerr_newman_radiant":
+        assert batched[-1] == ("KERNEL",)
+
+
+def test_batch_in_domain_evaluation_failure_raises():
+    # the declared domain misses ln's constraint at u <= 1
+    model = load_model(json.dumps({"name": "partial", "coordinates": ["u", "v"],
+                                   "entropy": "ln(u - 1) + ln(v)",
+                                   "domain": ["u", "v"]}))
+    sl = make_slice([0, 1], [1])
+    zs = np.array([[2.0], [0.5], [3.0]])
+    assert model.domain_check(sl.embed(zs)).all()
+    with pytest.raises(DomainError):
+        pullback_metric(model, sl, zs)
+    pullback_metric(model, sl, zs[[0, 2]])
 
 
 # -- duality -----------------------------------------------------------
