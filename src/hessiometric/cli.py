@@ -202,10 +202,11 @@ def _curvature_rows(model, sl, zs):
     """CSV rows of the slice points ``zs`` (P, r) from one batch: DOMAIN and
     KERNEL by the domain and singular masks, else OK; in-domain failures raise."""
     rows = [[_fmt(v) for v in z] + ["", "", "", "DOMAIN"] for z in zs]
-    inside = np.flatnonzero(model.domain_check(sl.embed(zs)))
+    xs = sl.embed(zs)
+    inside = np.flatnonzero(model.domain_check(xs))
     if inside.size:
         report = submanifold.curvature(
-            submanifold.pullback_metric(model, sl, zs[inside]))
+            submanifold._pullback(model, sl, zs[inside], xs[inside]))
         conn = report.connection
         flatness = conn.dual_flatness()
         for k, i in enumerate(inside):

@@ -9,6 +9,8 @@ no implicit multiplication.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -197,35 +199,63 @@ def validate(ast: Ast, variables: Sequence[str], parameters: Sequence[str]) -> N
         raise UnknownIdentifierError(unknown)
 
 
-def eval_on(ast: Ast, env: Mapping[str, Jet]):
-    """Evaluate an AST over an environment of jets (one per identifier,
-    all of one batch shape)."""
+_CALLS = {"ln": jets.ln, "exp": jets.exp, "sqrt": jets.sqrt}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+_FOLD = {"+": lambda a, b, order: a + b, "-": lambda a, b, order: a - b,
+         "*": lambda a, b, order: a * b + 0.0,
+         "/": lambda a, b, order: a * jets.constant_value(jets._reciprocal, b, order) + 0.0,
+         "^": lambda a, b, order: jets.constant_value(jets.pow_const, a, order, b)}
+
+
+def eval_on(ast: Ast, env: Mapping[str, Union[Jet, float]]) -> Jet:
+    """Evaluate an AST over an environment of jets (one per variable, all
+    of one batch shape) and floats (constants such as parameters)."""
+    like = next(v for v in env.values() if isinstance(v, Jet))
+    result = _walk(ast, env, like)
+    return result if isinstance(result, Jet) else like.constant_like(result)
+
+
+def _walk(ast, env, like):
+    """Jet of ``ast``, or a float c for a constant subtree: every operation
+    on c rounds exactly as on ``like.constant_like(c)``.  A constant whose
+    jet would carry nonzero slots (-0.0 after a negation, NaN when it is
+    not finite) stays a jet."""
     if isinstance(ast, Num):
-        return next(iter(env.values())).constant_like(ast.value)
+        return float(ast.value)
     if isinstance(ast, Name):
         return env[ast.name]
     if isinstance(ast, Neg):
-        return -eval_on(ast.operand, env)
-    if isinstance(ast, BinOp):
-        left = eval_on(ast.left, env)
-        right = eval_on(ast.right, env)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
-            return left * right
-        if ast.op == "/":
-            return left / right
-        # power: an exponent constant over the batch uses the power rule
-        c = right.coeffs
-        if not c[1:].any() and (c.ndim == 1 or (c[0] == c[0, 0]).all()):
-            return jets.pow_const(left, c.flat[0])
-        return left ** right
+        operand = _walk(ast.operand, env, like)
+        return -(like.constant_like(operand) if isinstance(operand, float) else operand)
     if isinstance(ast, Call):
-        arg = eval_on(ast.arg, env)
-        return {"ln": jets.ln, "exp": jets.exp, "sqrt": jets.sqrt}[ast.fn](arg)
-    raise TypeError(f"not an AST node: {ast!r}")
+        arg = _walk(ast.arg, env, like)
+        if isinstance(arg, float):
+            value = jets.constant_value(_CALLS[ast.fn], arg, like.order)
+            if math.isfinite(value):
+                return value
+            arg = like.constant_like(arg)
+        return _CALLS[ast.fn](arg)
+    if not isinstance(ast, BinOp):
+        raise TypeError(f"not an AST node: {ast!r}")
+    left = _walk(ast.left, env, like)
+    right = _walk(ast.right, env, like)
+    if isinstance(left, float) and isinstance(right, float):
+        value = _FOLD[ast.op](left, right, like.order)
+        if math.isfinite(value):
+            return value
+        left, right = like.constant_like(left), like.constant_like(right)
+    if ast.op in _ARITHMETIC:
+        return _ARITHMETIC[ast.op](left, right)
+    if isinstance(right, float):
+        return jets.pow_const(left, right)
+    if isinstance(left, float):
+        left = like.constant_like(left)
+    # an exponent constant over the batch uses the power rule
+    c = right.coeffs
+    if not c[1:].any() and (c.ndim == 1 or (c[0] == c[0, 0]).all()):
+        return jets.pow_const(left, c.flat[0])
+    return left ** right
 
 
 def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
@@ -238,6 +268,16 @@ def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
     return jet
 
 
+def environment(variables: Sequence[str], params: Mapping[str, float], values,
+                gradients, order: int) -> dict:
+    """Environment of :func:`eval_on`: the variables as affine jets with the
+    given values ((n,) or (n, P) for a batch) and gradients (n, dim), filled
+    as one coefficient block, and the parameters as floats."""
+    env = dict(zip(variables, jets.affine_jets(values, gradients, order)))
+    env.update((name, float(value)) for name, value in params.items())
+    return env
+
+
 def eval_jet(ast: Ast, variables: Sequence[str], point, params: Mapping[str, float],
              order: int) -> Jet:
     """Jet of the expression at ``point``, with all derivatives through
@@ -247,11 +287,5 @@ def eval_jet(ast: Ast, variables: Sequence[str], point, params: Mapping[str, flo
     if point.shape[-1] != len(variables):
         raise ValueError(f"point has {point.shape[-1]} components for "
                          f"{len(variables)} variables")
-    if order == 0:
-        env = {name: Jet.constant(point[..., i], len(variables), 0)
-               for i, name in enumerate(variables)}
-    else:
-        env = {name: Jet.seed(point.T, i, order) for i, name in enumerate(variables)}
-    for name, value in params.items():
-        env[name] = env[variables[0]].constant_like(float(value))
-    return eval_finite(ast, env)
+    return eval_finite(ast, environment(variables, params, point.T,
+                                        np.eye(len(variables)), order))

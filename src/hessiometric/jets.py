@@ -12,7 +12,8 @@ factorial).  This makes multiplication a plain truncated convolution;
 
 A trailing batch axis, coefficients (ncoeff, P), makes one jet hold P
 points; each column is computed exactly as its own unbatched jet, and
-the tensors of a batch come out with a leading batch axis.
+the tensors of a batch come out with a leading batch axis.  A float
+operand c rounds exactly as the constant jet ``constant_like(c)``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ def _jet(dim, order, coeffs):
     return jet
 
 
+def affine_jets(values, gradients, order):
+    """Jets of k affine functions from one coefficient block: values (k,)
+    or (k, P) for a batch, gradients (k, dim)."""
+    dim = gradients.shape[1]
+    indices, _, _, _, tensors = _space(dim, order)
+    block = np.zeros((len(values), len(indices)) + values.shape[1:])
+    block[:, 0] = values
+    if order:
+        block[:, tensors[0][0]] = gradients if values.ndim == 1 else gradients[..., None]
+    return [_jet(dim, order, coeffs) for coeffs in block]
+
+
 def _product(dim, order, a, b):
     """Truncated convolution of two coefficient arrays.  ``bincount``
     sums each slot in table order, as ``np.add.at`` would, also over a
@@ -108,9 +121,7 @@ class Jet:
     @classmethod
     def constant(cls, value, dim, order):
         """Constant jet; an array ``value`` gives a batch of constants."""
-        coeffs = np.zeros((len(_space(dim, order)[0]),) + getattr(value, "shape", ()))
-        coeffs[0] = value
-        return _jet(dim, order, coeffs)
+        return cls.affine(value, np.zeros(dim), order)
 
     def constant_like(self, value):
         """Constant ``value`` with this jet's dimension, order and batch."""
@@ -132,13 +143,8 @@ class Jet:
     @classmethod
     def affine(cls, value, gradient, order):
         """Jet of an affine function with the given value(s) and gradient."""
-        gradient = np.asarray(gradient, dtype=float)
-        dim = gradient.shape[0]
-        indices, _, _, _, tensors = _space(dim, order)
-        coeffs = np.zeros((len(indices),) + getattr(value, "shape", ()))
-        coeffs[0] = value
-        coeffs[tensors[0][0]] = gradient if coeffs.ndim == 1 else gradient[:, None]
-        return _jet(dim, order, coeffs)
+        return affine_jets(np.asarray(value, dtype=float)[None],
+                           np.asarray(gradient, dtype=float)[None], order)[0]
 
     # -- basic accessors ----------------------------------------------
 
@@ -186,8 +192,8 @@ class Jet:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return _jet(self.dim, self.order, self.coeffs * float(other))
+        if not isinstance(other, Jet):  # rounds as a product with constant_like
+            return _jet(self.dim, self.order, self.coeffs * float(other) + 0.0)
         other = self._coerce(other)
         return _jet(self.dim, self.order,
                     _product(self.dim, self.order, self.coeffs, other.coeffs))
@@ -196,7 +202,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return _jet(self.dim, self.order, self.coeffs / float(other))
+            return self * constant_value(_reciprocal, float(other), self.order)
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
@@ -247,23 +253,39 @@ class Jet:
 
 # -- elementary functions ---------------------------------------------
 
+def _derivatives(table, v, order, *args):
+    """``table(v, order, *args)``; leaving the float range is a DomainError."""
+    try:
+        return table(v, order, *args)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"derivatives of {table.__name__.strip('_')} at "
+                          f"{v!r} leave the float range") from None
+
+
 def _elementary(table):
     """Jet function from a derivative table ``table(v, order, *args)`` =
     [f(v), f'(v), ..., f^(order)(v)] in plain floats.  A batch takes the
-    table point by point, so each column is exactly the unbatched result;
-    a table that leaves the float range is a DomainError."""
+    table point by point, so each column is exactly the unbatched result."""
     @wraps(table)
     def fn(a: Jet, *args) -> Jet:
         v = a.coeffs[0]
-        try:
-            if v.ndim == 0:
-                return a.compose(table(float(v), a.order, *args))
-            derivs = [table(x, a.order, *args) for x in v.tolist()]
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError(f"derivatives of {table.__name__.strip('_')} at "
-                              f"{a.value!r} leave the float range") from None
-        return a.compose(np.array(derivs).T)
+        if v.ndim == 0:
+            return a.compose(_derivatives(table, float(v), a.order, *args))
+        return a.compose(np.array([_derivatives(table, x, a.order, *args)
+                                   for x in v.tolist()]).T)
+    fn.table = table
     return fn
+
+
+def constant_value(fn, v: float, order: int, *args) -> float:
+    """Value of ``fn(Jet.constant(v, dim, order), *args)`` as a float: f(v)
+    plus the zero terms ``compose`` adds (NaN where a derivative is not
+    finite)."""
+    derivs = _derivatives(fn.table, v, order, *args)
+    value = derivs[0]
+    for k in range(1, order + 1):
+        value = value + 0.0 * (derivs[k] / math.factorial(k))
+    return value
 
 
 @_elementary

@@ -49,27 +49,36 @@ class PotentialModel:
         return self.entropy_jet(point, order=1).value
 
     def domain_check(self, point):
-        """True iff every domain constraint is strictly positive at
-        ``point`` (and evaluable at all); a mask for points (P, dim), where
-        a failed evaluation marks only its own point."""
+        """True iff every domain constraint is evaluable at ``point`` (its
+        value is finite) and strictly positive; a mask for points (P, dim),
+        where a failed evaluation marks only its own point.  Values only:
+        one order-0 walk per constraint."""
         x = np.atleast_1d(np.asarray(point, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValueError(f"point has {x.shape[-1]} components, model "
                              f"dimension is {self.dim}")
         if x.ndim == 1:
-            return all(self._positive(constraint, x) for constraint in self.domain)
+            env = self._values(x)
+            return all(self._positive(constraint, x, env) for constraint in self.domain)
         inside = np.ones(len(x), dtype=bool)
         for constraint in self.domain:
             if inside.any():
-                inside[inside] = self._positive(constraint, x[inside])
+                rest = x[inside]
+                inside[inside] = self._positive(constraint, rest, self._values(rest))
         return inside
 
-    def _positive(self, constraint: Ast, x):
+    def _values(self, x):
+        """Order-0 environment at ``x`` (a batch for points (P, dim))."""
+        return expr.environment(self.coordinates, self.parameters, x.T,
+                                np.eye(self.dim), order=0)
+
+    def _positive(self, constraint: Ast, x, env):
         try:
-            return expr.eval_jet(constraint, self.coordinates, x,
-                                 self.parameters, order=1).value > 0.0
+            value = expr.eval_on(constraint, env).value
         except DomainError:  # a batch retries point by point
-            return x.ndim > 1 and np.array([self._positive(constraint, p) for p in x])
+            return x.ndim > 1 and np.array([self._positive(constraint, p, self._values(p))
+                                            for p in x])
+        return (value > 0.0) & (value < np.inf)
 
     def require_domain(self, point) -> None:
         """Raise DomainError unless :meth:`domain_check` holds (everywhere)."""

@@ -148,14 +148,11 @@ class PullbackData:
                      / (np.max(np.abs(self.gbar)) + _EPS))
 
 
-def _pullback_jet(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> Jet:
-    """Jet in z of the pulled-back potential, via affine coordinate jets."""
-    x = sl.embed(z)
-    a = sl.jacobian
-    env = {name: Jet.affine(x[..., i], a[i], order)
-           for i, name in enumerate(model.coordinates)}
-    for name, value in model.parameters.items():
-        env[name] = env[model.coordinates[0]].constant_like(float(value))
+def _pullback_jet(model: PotentialModel, sl: SliceSpec, x, order: int = 4) -> Jet:
+    """Jet in z of the pulled-back potential at x = embed(z), via affine
+    coordinate jets."""
+    env = expr.environment(model.coordinates, model.parameters, x.T,
+                           sl.jacobian, order)
     return -expr.eval_finite(model.entropy, env)
 
 
@@ -167,7 +164,13 @@ def pullback_metric(model: PotentialModel, sl: SliceSpec, z) -> PullbackData:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = sl.embed(z)
     model.require_domain(x)
-    jet = _pullback_jet(model, sl, z, order=4)
+    return _pullback(model, sl, z, x)
+
+
+def _pullback(model: PotentialModel, sl: SliceSpec, z, x) -> PullbackData:
+    """:func:`pullback_metric` at points x = embed(z) known to be inside
+    the domain (no domain check)."""
+    jet = _pullback_jet(model, sl, x, order=4)
     gbar = jet.hessian()
     dgbar = jet.third_tensor()
     d2gbar = jet.fourth_tensor()
@@ -311,8 +314,8 @@ def dual_potential(model: PotentialModel, sl: SliceSpec, z,
     transform of the pulled-back potential and from the extensivity
     shortcut.  A mismatch between the two flags a non-extensive model."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    jet = _pullback_jet(model, sl, z, order=1)
     x = sl.embed(z)
+    jet = _pullback_jet(model, sl, x, order=1)
     model.require_domain(x)
     value = float(z @ jet.gradient() - jet.value)
 
@@ -330,9 +333,9 @@ def dual_potential(model: PotentialModel, sl: SliceSpec, z,
 def dual_coordinates(model: PotentialModel, sl: SliceSpec, z) -> np.ndarray:
     """Gradient of the pulled-back potential: the dual affine chart of
     the dual Hessian structure (per point for a batch z of shape (P, r))."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    model.require_domain(sl.embed(z))
-    return _pullback_jet(model, sl, z, order=1).gradient()
+    x = sl.embed(z)
+    model.require_domain(x)
+    return _pullback_jet(model, sl, x, order=1).gradient()
 
 
 def legendre_invariance_residual(model: PotentialModel, sl: SliceSpec, z) -> float:

@@ -241,6 +241,10 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
 
     monkeypatch.setattr(expr, "eval_finite", counted(
         expr.eval_finite, lambda jet: f"jet_order_{jet.order}"))
+    monkeypatch.setattr(expr, "eval_on", counted(
+        expr.eval_on, lambda jet: f"walk_order_{jet.order}"))
+    monkeypatch.setattr(models.PotentialModel, "domain_check", counted(
+        models.PotentialModel.domain_check, lambda _: "domain_check"))
     metric = counted(geometry.hessian_metric, lambda _: "hessian_metric")
     monkeypatch.setattr(geometry, "hessian_metric", metric)
     monkeypatch.setattr(submanifold, "hessian_metric", metric)
@@ -252,9 +256,11 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     assert counts["jet_order_4"] == 1
     assert counts["hessian_metric"] == 0
     assert counts["eigvalsh"] == 1 and counts["inv"] == 1
+    assert counts["domain_check"] == 1 and counts["walk_order_1"] == 0
     counts.clear()
     assert cli._curvature_rows(model, sl, np.array([[0.3, 0.2]]))[0][-1] == "DOMAIN"
     assert counts["jet_order_4"] == 0
+    assert counts["domain_check"] == 1
 
     # a 64-point scan call across the extremal boundary: the same work
     # for the whole grid as for one point
@@ -273,8 +279,11 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     assert counts["jet_order_4"] == 1
     assert counts["hessian_metric"] == 0
     assert counts["eigvalsh"] == 1 and counts["inv"] == 1 + 1
+    # one value-only domain check: one order-0 walk per constraint
+    assert counts["domain_check"] == 1
+    assert counts["walk_order_0"] == len(model.domain) and counts["walk_order_1"] == 0
     assert scan("0.05:0.2:8,0.05:0.35:8") == {"DOMAIN": 64}
-    assert counts["jet_order_4"] == 0
+    assert counts["jet_order_4"] == 0 and counts["domain_check"] == 1
     assert counts["eigvalsh"] == 0 and counts["inv"] == 0 + 1
 
 

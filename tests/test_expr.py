@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hessiometric.expr as ex
+from hessiometric import BUILTIN_NAMES, builtin, jets
 from hessiometric.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from hessiometric.expr import BinOp, Call, Name, Neg, Num
+from hessiometric.jets import Jet
 
 
 IDEAL_GAS_EXPR = "N*R*ln(K*V*U^c*N^(-(c+1)))+S0"
@@ -173,3 +176,77 @@ def test_order_zero_matches_float_eval(seed):
            "exp": math.exp}
     direct = eval(text.replace("^", "**"), {"__builtins__": {}}, env)
     assert jet.value == pytest.approx(direct, rel=1e-14)
+
+
+# -- constants as floats: oracle walker ----------------------------------
+
+def _reference_walk(ast, env):
+    """Jets-only walk: every Num is a constant jet, as are the parameters
+    in ``env``, so every operation is a jet operation."""
+    if isinstance(ast, Num):
+        return next(iter(env.values())).constant_like(ast.value)
+    if isinstance(ast, Name):
+        return env[ast.name]
+    if isinstance(ast, Neg):
+        return -_reference_walk(ast.operand, env)
+    if isinstance(ast, Call):
+        return getattr(jets, ast.fn)(_reference_walk(ast.arg, env))
+    left, right = _reference_walk(ast.left, env), _reference_walk(ast.right, env)
+    if ast.op != "^":
+        return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                "/": operator.truediv}[ast.op](left, right)
+    c = right.coeffs
+    if not c[1:].any() and (c.ndim == 1 or (c[0] == c[0, 0]).all()):
+        return jets.pow_const(left, c.flat[0])
+    return left ** right
+
+
+def _reference_jet(ast, variables, point, params, order):
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    gradients = np.eye(len(variables))
+    env = {name: Jet.affine(point[..., i], gradients[i], order)
+           for i, name in enumerate(variables)}
+    for name, value in params.items():
+        env[name] = env[variables[0]].constant_like(float(value))
+    jet = _reference_walk(ast, env)
+    if not np.isfinite(jet.coeffs).all():
+        raise DomainError("not finite")
+    return jet
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the infinite constants
+def _same_outcome(ast, variables, point, params, order):
+    try:
+        expected = _reference_jet(ast, variables, point, params, order)
+    except DomainError:
+        with pytest.raises(DomainError):
+            ex.eval_jet(ast, variables, point, params, order)
+        return
+    got = ex.eval_jet(ast, variables, point, params, order)
+    assert np.array_equal(got.coeffs, expected.coeffs)
+    assert np.array_equal(np.signbit(got.coeffs), np.signbit(expected.coeffs))
+
+
+_EDGE_EXPRESSIONS = ["2^U", "ln(2)*U", "(-2)*U - 0*V + N/3", "3", "1",
+                     "-U - -0", "-U + -(c+1)", "U/1e100", "2^-3*U + exp(-1e400)",
+                     "exp(U - 1e400*2)", "(U + exp(1e400))^0", "U/1e-63",
+                     "U^(V-V) - 5/3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUILTIN_NAMES), st.integers(0, 4), st.integers(1, 6),
+       st.integers(0, 10**6))
+def test_constant_operands_match_constant_jets(name, order, points, seed):
+    # every builtin's entropy and domain constraints, and edge expressions
+    # over the same coordinates, at points inside and outside the domain
+    model = builtin(name)
+    rng = np.random.default_rng(seed)
+    grid = rng.choice([-1.0, -0.0, 0.0, 0.3, 0.5, 1.0, 1.7, 2.0], size=(points, 3))
+    grid[: points // 2] = rng.uniform(0.05, 2.5, size=(points // 2, 3))
+    asts = [model.entropy, *model.domain]
+    if name == "ideal_gas":
+        asts += [ex.parse(text) for text in _EDGE_EXPRESSIONS]
+    for ast in asts:
+        _same_outcome(ast, model.coordinates, grid, model.parameters, order)
+        for point in grid:
+            _same_outcome(ast, model.coordinates, point, model.parameters, order)

@@ -247,3 +247,37 @@ def test_batch_fails_where_a_point_fails():
         1 / Jet(1, 2, [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         x * Jet.seed((1.0,), 0, 2)  # batched times unbatched
+
+
+# -- float operands --------------------------------------------------------
+
+_slots = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, -3e250, 0.1])
+_operand = st.one_of(_slots, st.floats(-1e3, 1e3), st.sampled_from([1e70, -1e-70]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_float_operand_rounds_as_constant_jet(dim, order, points, data):
+    # x op c must equal x op constant_like(c) bit for bit, signed zeros
+    # included; x / c also fails where the reciprocal of the constant does
+    n = len(Jet.constant(0.0, dim, order).coeffs)
+    shape = (n, points) if points else (n,)
+    coeffs = data.draw(st.lists(_slots, min_size=n * max(points, 1),
+                                max_size=n * max(points, 1)))
+    x = Jet(dim, order, np.reshape(coeffs, shape))
+    c = data.draw(_operand)
+    ops = [lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+           lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
+           lambda a, b: a / b]
+    for op in ops:
+        try:
+            with np.errstate(over="ignore"):
+                expected = op(x, x.constant_like(c)).coeffs
+        except DomainError:
+            with pytest.raises(DomainError):
+                op(x, c)
+            continue
+        with np.errstate(over="ignore"):
+            got = op(x, c).coeffs
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))

@@ -1,12 +1,13 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import ENTROPY_FNS, sample_points
-from hessiometric import builtin, load_model
-from hessiometric.errors import ModelSchemaError, UnknownIdentifierError
+from hessiometric import BUILTIN_NAMES, builtin, expr, geometry, load_model
+from hessiometric.errors import DomainError, ModelSchemaError, UnknownIdentifierError
 
 IDEAL_GAS_DOC = {
     "name": "ideal_gas",
@@ -133,3 +134,48 @@ def test_batched_domain_mask_matches_points():
     grid = np.array([[u, q, 0.25] for u in np.linspace(0.1, 2, 9)
                      for q in np.linspace(0, 0.4, 9)])
     assert kn.domain_check(grid).tolist() == [kn.domain_check(p) for p in grid]
+
+
+def _order1_inside(model, point):
+    """The domain test on order-1 jets: every constraint evaluates to a
+    finite jet with a positive value."""
+    try:
+        return all(expr.eval_jet(c, model.coordinates, point, model.parameters,
+                                 order=1).value > 0.0 for c in model.domain)
+    except DomainError:
+        return False
+
+
+@np.errstate(over="ignore")  # x*y at 1e200 overflows on purpose
+def test_value_only_domain_mask_matches_order_one():
+    rng = np.random.default_rng(17)
+    always = load_model(json.dumps({"name": "c", "coordinates": ["x", "y", "z"],
+                                    "entropy": "3", "domain": ["1"]}))
+    overflows = load_model(json.dumps({"name": "o", "coordinates": ["x", "y", "z"],
+                                       "entropy": "x + y + z", "domain": ["x*y", "z"]}))
+    for model in [builtin(name) for name in BUILTIN_NAMES] + [always, overflows]:
+        points = np.vstack([rng.uniform(-1.0, 2.5, size=(40, 3)),
+                            [[0.0, 0.0, 0.0], [1.0, 0.5, 0.4], [1.0, 0.5, 0.5],
+                             [1e308, 1.0, 1.0], [1e-200, 1.0, 1.0],
+                             [1e200, 1e200, 1.0]]])
+        expected = [_order1_inside(model, p) for p in points]
+        assert [model.domain_check(p) for p in points] == expected
+        assert model.domain_check(points).tolist() == expected
+        assert any(expected) and (model is always or not all(expected))
+
+
+def test_single_point_metric_makes_no_order_one_walk(monkeypatch):
+    orders = Counter()
+
+    def counted(ast, env):
+        jet = eval_on(ast, env)
+        orders[jet.order] += 1
+        return jet
+
+    eval_on = expr.eval_on
+    monkeypatch.setattr(expr, "eval_on", counted)
+    for name in BUILTIN_NAMES:
+        model = builtin(name)
+        orders.clear()
+        geometry.hessian_metric(model, sample_points(name, 1, np.random.default_rng(3))[0])
+        assert orders == {0: len(model.domain), 4: 1}
