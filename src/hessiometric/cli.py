@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -304,6 +305,7 @@ def cmd_report(args) -> int:
 
 # -- entry point -------------------------------------------------------
 
+@lru_cache(maxsize=None)  # built on first use; parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hessiometric",
@@ -355,10 +357,10 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the errors below report what numpy warns of
+            return args.func(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

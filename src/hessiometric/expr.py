@@ -199,6 +199,7 @@ def validate(ast: Ast, variables: Sequence[str], parameters: Sequence[str]) -> N
         raise UnknownIdentifierError(unknown)
 
 
+_SHAPE = ""  # environment key of a jet giving the walk its shape; no identifier
 _CALLS = {"ln": jets.ln, "exp": jets.exp, "sqrt": jets.sqrt}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv}
@@ -211,7 +212,7 @@ _FOLD = {"+": lambda a, b, order: a + b, "-": lambda a, b, order: a - b,
 def eval_on(ast: Ast, env: Mapping[str, Union[Jet, float]]) -> Jet:
     """Evaluate an AST over an environment of jets (one per variable, all
     of one batch shape) and floats (constants such as parameters)."""
-    like = next(v for v in env.values() if isinstance(v, Jet))
+    like = env.get(_SHAPE) or next(v for v in env.values() if isinstance(v, Jet))
     result = _walk(ast, env, like)
     return result if isinstance(result, Jet) else like.constant_like(result)
 
@@ -270,10 +271,19 @@ def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
 
 def environment(variables: Sequence[str], params: Mapping[str, float], values,
                 gradients, order: int) -> dict:
-    """Environment of :func:`eval_on`: the variables as affine jets with the
-    given values ((n,) or (n, P) for a batch) and gradients (n, dim), filled
-    as one coefficient block, and the parameters as floats."""
-    env = dict(zip(variables, jets.affine_jets(values, gradients, order)))
+    """Environment of :func:`eval_on`: the variables as affine jets with values
+    (n,) or (n, P) and gradients (n, dim), in one coefficient block, and the
+    parameters as floats.  A variable with no derivative (order 0, or a gradient
+    row of +0.0) and one point, or one nonzero value over the batch, is a float."""
+    block = jets.affine_jets(values, gradients, order)
+    constant = ([True] * len(block) if order == 0 else
+                (~np.asarray(gradients, dtype=float).view(np.int64).any(axis=1)).tolist())
+    env = {_SHAPE: block[0]}
+    for name, jet, x, fold in zip(variables, block, values.tolist(), constant):
+        if fold and isinstance(x, list):  # a batch: nonzero and equal is equal bit for bit
+            fold = x[0] != 0.0 and x.count(x[0]) == len(x)
+            x = x[0]
+        env[name] = x if fold else jet
     env.update((name, float(value)) for name, value in params.items())
     return env
 

@@ -12,8 +12,9 @@ factorial).  This makes multiplication a plain truncated convolution;
 
 A trailing batch axis, coefficients (ncoeff, P), makes one jet hold P
 points; each column is computed exactly as its own unbatched jet, and
-the tensors of a batch come out with a leading batch axis.  A float
-operand c rounds exactly as the constant jet ``constant_like(c)``.
+the tensors of a batch come out with a leading batch axis.  Derivative tables
+take whole batch columns (libm per point, + - * / in numpy), bit for bit as
+per point.  A float operand c rounds exactly as the constant jet ``constant_like(c)``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partialmethod, wraps
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -218,7 +220,7 @@ class Jet:
 
     def compose(self, derivs):
         """Univariate composition f(self), given f(a0), f'(a0), ...,
-        f^(order)(a0) at a0 = self.value (an (order + 1, P) array for a batch).
+        f^(order)(a0) at a0 = self.value (floats or (P,) columns for a batch).
 
         Implements Faa di Bruno through the truncation order by
         expanding f around a0 in powers of the non-constant part.
@@ -253,26 +255,39 @@ class Jet:
 
 # -- elementary functions ---------------------------------------------
 
+def _per_point(f):
+    """libm's ``f`` on each point of a batch column (numpy's own may differ)."""
+    return lambda v, *a: np.array([f(x, *a) for x in v.tolist()])
+
+
+_FLOAT = SimpleNamespace(any=bool, log=math.log, exp=math.exp, sqrt=math.sqrt, pow=math.pow)
+_COLUMN = SimpleNamespace(any=np.any, log=_per_point(math.log), exp=_per_point(math.exp),
+                          sqrt=_per_point(math.sqrt), pow=_per_point(math.pow))
+
+
 def _derivatives(table, v, order, *args):
-    """``table(v, order, *args)``; leaving the float range is a DomainError."""
+    """``table(v, order, lib, *args)``: leaving the float range or dividing by zero is a
+    DomainError, for a batch column the error of its first failing point."""
     try:
-        return table(v, order, *args)
-    except (OverflowError, ZeroDivisionError):
+        if isinstance(v, float):
+            return table(v, order, _FLOAT, *args)
+        with np.errstate(divide="raise", over="ignore"):
+            return table(v, order, _COLUMN, *args)
+    except (OverflowError, ZeroDivisionError, FloatingPointError, DomainError) as e:
+        for x in () if isinstance(v, float) else v.tolist():
+            _derivatives(table, x, order, *args)
+        if isinstance(e, DomainError):
+            raise
         raise DomainError(f"derivatives of {table.__name__.strip('_')} at "
                           f"{v!r} leave the float range") from None
 
 
 def _elementary(table):
-    """Jet function from a derivative table ``table(v, order, *args)`` =
-    [f(v), f'(v), ..., f^(order)(v)] in plain floats.  A batch takes the
-    table point by point, so each column is exactly the unbatched result."""
+    """Jet function from a derivative table ``table(v, order, lib, *args)`` = [f(v),
+    ..., f^(order)(v)] at a float or on a batch column (libm per point), bit for bit."""
     @wraps(table)
     def fn(a: Jet, *args) -> Jet:
-        v = a.coeffs[0]
-        if v.ndim == 0:
-            return a.compose(_derivatives(table, float(v), a.order, *args))
-        return a.compose(np.array([_derivatives(table, x, a.order, *args)
-                                   for x in v.tolist()]).T)
+        return a.compose(_derivatives(table, _item(a.coeffs[0]), a.order, *args))
     fn.table = table
     return fn
 
@@ -289,35 +304,37 @@ def constant_value(fn, v: float, order: int, *args) -> float:
 
 
 @_elementary
-def _reciprocal(v, order):
-    if v == 0.0:
+def _reciprocal(v, order, lib):
+    if lib.any(v == 0.0):
         raise DomainError("division by a jet with zero value")
-    return [1 / v, -1 / v**2, 2 / v**3, -6 / v**4, 24 / v**5][: order + 1]
+    return [1 / v, -1 / lib.pow(v, 2), 2 / lib.pow(v, 3), -6 / lib.pow(v, 4),
+            24 / lib.pow(v, 5)][: order + 1]
 
 
 @_elementary
-def ln(v, order):
-    if v <= 0.0:
+def ln(v, order, lib):
+    if lib.any(v <= 0.0):
         raise DomainError(f"ln of non-positive value {v}")
-    return [math.log(v), 1 / v, -1 / v**2, 2 / v**3, -6 / v**4][: order + 1]
+    return [lib.log(v), 1 / v, -1 / lib.pow(v, 2), 2 / lib.pow(v, 3),
+            -6 / lib.pow(v, 4)][: order + 1]
 
 
 @_elementary
-def exp(v, order):
-    return [math.exp(v)] * (order + 1)
+def exp(v, order, lib):
+    return [lib.exp(v)] * (order + 1)
 
 
 @_elementary
-def sqrt(v, order):
-    if v <= 0.0:
+def sqrt(v, order, lib):
+    if lib.any(v <= 0.0):
         raise DomainError(f"sqrt of non-positive value {v}")
-    s = math.sqrt(v)
+    s = lib.sqrt(v)
     return [s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
-            -0.9375 / (s * v**3)][: order + 1]
+            -0.9375 / (s * lib.pow(v, 3))][: order + 1]
 
 
 @_elementary
-def pow_const(v, order, p):
+def pow_const(v, order, lib, p):
     """a**p for a real constant exponent.
 
     Integer exponents work for any nonzero base, non-negative ones also
@@ -325,14 +342,14 @@ def pow_const(v, order, p):
     """
     p = float(p)
     is_int = p.is_integer()
-    if not is_int and v <= 0.0:
+    if not is_int and lib.any(v <= 0.0):
         raise DomainError(f"fractional power {p} of non-positive value {v}")
-    if is_int and v == 0.0 and p < 0:
+    if is_int and p < 0 and lib.any(v == 0.0):
         raise DomainError("negative power of zero value")
-    derivs = [v**p]
+    derivs = [lib.pow(v, p)]
     fac = 1.0
     for k in range(1, order + 1):
         fac *= p - (k - 1)
         # beyond the degree of an integer power the derivative is exactly 0
-        derivs.append(fac * v ** (p - k) if fac else 0.0)
+        derivs.append(fac * lib.pow(v, p - k) if fac else 0.0)
     return derivs

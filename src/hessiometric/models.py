@@ -14,7 +14,9 @@ and the (mass^2, charge^2, momentum) chart, which is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Mapping, Tuple
 
 import numpy as np
@@ -49,18 +51,19 @@ class PotentialModel:
         return self.entropy_jet(point, order=1).value
 
     def domain_check(self, point):
-        """True iff every domain constraint is evaluable at ``point`` (its
-        value is finite) and strictly positive; a mask for points (P, dim),
-        where a failed evaluation marks only its own point.  Values only:
-        one order-0 walk per constraint."""
+        """True iff ``point`` is finite and every domain constraint is
+        evaluable there (its value is finite) and strictly positive; a mask
+        for points (P, dim), where a failed evaluation marks only its own
+        point.  Values only: one order-0 walk per constraint."""
         x = np.atleast_1d(np.asarray(point, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValueError(f"point has {x.shape[-1]} components, model "
                              f"dimension is {self.dim}")
         if x.ndim == 1:
-            env = self._values(x)
-            return all(self._positive(constraint, x, env) for constraint in self.domain)
-        inside = np.ones(len(x), dtype=bool)
+            env = self._values(x)  # the coordinates as floats
+            return (all(math.isfinite(env[c]) for c in self.coordinates)
+                    and all(self._positive(ast, x, env) for ast in self.domain))
+        inside = np.isfinite(x).all(axis=1)
         for constraint in self.domain:
             if inside.any():
                 rest = x[inside]
@@ -200,5 +203,11 @@ def builtin(name: str, **overrides) -> PotentialModel:
         if not params[p] > 0.0:
             raise ModelSchemaError(f"parameter {p} of {name} must be positive, "
                                    f"got {params[p]}")
-    return _build(name, entry["coordinates"], params, entry["entropy"],
-                  entry["domain"])
+    return replace(_parsed_builtin(name), parameters=params)
+
+
+@lru_cache(maxsize=None)
+def _parsed_builtin(name: str) -> PotentialModel:
+    """A builtin at its defaults, parsed once per process (ASTs are immutable)."""
+    e = _BUILTINS[name]
+    return _build(name, e["coordinates"], e["parameters"], e["entropy"], e["domain"])

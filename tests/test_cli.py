@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hessiometric import cli, expr, geometry, models, submanifold
+from hessiometric.jets import Jet
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +139,29 @@ def test_extreme_points_are_domain_errors(point, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "ideal_gas", "--point", "1e200,1e200,1e200"],
+    ["check", "paramagnet", "--point", "1,inf,1"],
+    ["legendre", "ideal_gas", "--slice", "0,0,1=1", "--point", "inf,1"]])
+def test_domain_errors_print_no_numpy_warnings(argv):
+    proc = subprocess.run([sys.executable, "-m", "hessiometric", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_DOMAIN_ERROR
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_non_finite_point_is_outside_every_domain(tmp_path, capsys):
+    # a model without domain constraints would otherwise print Infinity
+    model = tmp_path / "nodomain.json"
+    model.write_text(json.dumps({"name": "nodomain", "coordinates": ["U", "V"],
+                                 "entropy": "exp(-U) + ln(V)"}))
+    code, out, err = run_cli(["check", str(model), "--point", "inf,1"], capsys)
+    assert code == cli.EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # -- model files -------------------------------------------------------
 
 def test_file_model_matches_builtin(capsys):
@@ -251,12 +275,16 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     for name in ("eigvalsh", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(
             getattr(np.linalg, name), lambda _, name=name: name))
+    monkeypatch.setattr(Jet, "compose", counted(Jet.compose, lambda _: "compose"))
 
     assert cli._curvature_rows(model, sl, np.array([[1.5, 0.2]]))[0][-1] == "OK"
     assert counts["jet_order_4"] == 1
     assert counts["hessian_metric"] == 0
     assert counts["eigvalsh"] == 1 and counts["inv"] == 1
     assert counts["domain_check"] == 1 and counts["walk_order_1"] == 0
+    # j is one float on the slice: the domain check of a one-point block
+    # folds everything, the pullback composes only u^2 and sqrt
+    assert counts["compose"] == 2
     counts.clear()
     assert cli._curvature_rows(model, sl, np.array([[0.3, 0.2]]))[0][-1] == "DOMAIN"
     assert counts["jet_order_4"] == 0
@@ -282,6 +310,7 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     # one value-only domain check: one order-0 walk per constraint
     assert counts["domain_check"] == 1
     assert counts["walk_order_0"] == len(model.domain) and counts["walk_order_1"] == 0
+    assert counts["compose"] == 1 + 2  # u^2 in the domain check, then the pullback
     assert scan("0.05:0.2:8,0.05:0.35:8") == {"DOMAIN": 64}
     assert counts["jet_order_4"] == 0 and counts["domain_check"] == 1
     assert counts["eigvalsh"] == 0 and counts["inv"] == 0 + 1
@@ -307,6 +336,18 @@ def test_python_m_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["model"] == "ideal_gas"
+
+
+def test_in_process_calls_print_what_a_fresh_process_prints(capsys):
+    # the parser and the builtin expressions are built once per process
+    calls = [["check", "ideal_gas", "--no-timestamp", "--point", "1,1,1"],
+             ["check", "ideal_gas", "--no-timestamp", "--point", "2,0.5,3"],
+             ["curvature", "kerr_newman_radiant", "--slice", "0,0,1=0.25",
+              "--grid", "0.3:2:4,0.05:0.35:3", "--no-timestamp"]]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "hessiometric", *argv],
+                               capture_output=True, text=True)
+        assert run_cli(argv, capsys)[:2] == (fresh.returncode, fresh.stdout)
 
 
 def test_cli_import_leaves_scipy_unloaded():

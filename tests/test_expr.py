@@ -250,3 +250,20 @@ def test_constant_operands_match_constant_jets(name, order, points, seed):
         _same_outcome(ast, model.coordinates, grid, model.parameters, order)
         for point in grid:
             _same_outcome(ast, model.coordinates, point, model.parameters, order)
+
+
+def test_environment_folds_a_variable_only_with_one_value():
+    # a column of one value, bit for bit, is a float; signed zeros, NaN and
+    # distinct values stay jets, and one point's coordinates are all floats
+    values = np.array([[1.5, 1.5], [0.0, -0.0], [math.nan, math.nan], [1.0, 2.0]])
+    env = ex.environment(["a", "b", "c", "d"], {"R": 2}, values, np.eye(4), 0)
+    assert env["a"] == 1.5 and env["R"] == 2.0
+    assert all(isinstance(env[name], Jet) for name in "bcd")
+    env = ex.environment(["a", "b"], {}, np.array([1.5, -0.0]), np.eye(2), 0)
+    assert env["a"] == 1.5 and math.copysign(1.0, env["b"]) == -1.0
+    # with derivatives, only a one-valued column whose gradient row is +0.0
+    grads = np.array([[1.0, 0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, 0.0]])
+    values = np.array([[1.5, 1.5], [2.0, 2.0], [3.0, 3.0], [1.0, 2.0]])
+    env = ex.environment(["a", "b", "c", "d"], {}, values, grads, 1)
+    assert env["b"] == 2.0
+    assert all(isinstance(env[name], Jet) for name in "acd")

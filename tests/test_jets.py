@@ -206,9 +206,37 @@ def _column(jet, p):
     return Jet(jet.dim, jet.order, jet.coeffs[:, p])
 
 
+def _assert_columns(op, a, b, derivs):
+    """op on the batch equals op on each column, sign bits included, or
+    fails with the error of the first column that fails."""
+    points = a.coeffs.shape[1]
+    singles = []
+    for p in range(points):
+        try:
+            singles.append(op(_column(a, p), _column(b, p), derivs[:, p]))
+        except DomainError as e:
+            with pytest.raises(DomainError) as batch_error:
+                op(a, b, derivs)
+            assert str(batch_error.value) == str(e)
+            return
+    batch = op(a, b, derivs)
+    assert batch.coeffs.shape == a.coeffs.shape
+    for p, single in enumerate(singles):
+        assert np.array_equal(batch.coeffs[:, p], single.coeffs, equal_nan=True)
+        assert np.array_equal(np.signbit(batch.coeffs[:, p]), np.signbit(single.coeffs))
+
+
+# values at which a table raises for one point or leans on libm: a power
+# of 1e-110 underflows to 0 and divides, v**5 overflows at 1e70, and
+# integer powers take negative bases
+_EDGE_VALUES = [1e-110, 1e70, -1e70, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                -2.0, -3.5]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 4), st.integers(1, 16),
        st.integers(0, 10**6))
+@np.errstate(over="ignore", invalid="ignore")
 def test_batched_jets_equal_their_columns(dim, order, points, seed):
     rng = np.random.default_rng(seed)
     n = len(Jet.constant(0.0, dim, order).coeffs)
@@ -223,20 +251,31 @@ def test_batched_jets_equal_their_columns(dim, order, points, seed):
            lambda x, y, d: ln(x), lambda x, y, d: exp(y), lambda x, y, d: sqrt(x),
            lambda x, y, d: pow_const(x, 1.5), lambda x, y, d: pow_const(x, -2),
            lambda x, y, d: pow_const(y, 3), lambda x, y, d: pow_const(y, 0),
+           lambda x, y, d: pow_const(y, 5), lambda x, y, d: pow_const(y, -3),
            lambda x, y, d: x.compose(d)]
     tensors = ["gradient", "hessian", "third_tensor", "fourth_tensor"][:order]
     for op in ops:
-        batch = op(a, b, derivs)
-        assert batch.coeffs.shape == (n, points)
-        for p in range(points):
-            single = op(_column(a, p), _column(b, p), derivs[:, p])
-            assert np.array_equal(batch.coeffs[:, p], single.coeffs)
-            assert batch.value[p] == single.value
+        _assert_columns(op, a, b, derivs)
+    # the same with an edge value in the first of two columns
+    for v in _EDGE_VALUES:
+        edge_a, edge_b = (Jet(dim, order, x.coeffs[:, :2].copy()) for x in (a, b))
+        edge_a.coeffs[0, 0] = edge_b.coeffs[0, 0] = v
+        for op in ops:
+            _assert_columns(op, edge_a, edge_b, derivs[:, :2])
     for name in tensors:
         t = getattr(a, name)()
         assert t.shape[0] == points
         for p in range(points):
             assert np.array_equal(t[p], getattr(_column(a, p), name)())
+
+
+def test_integer_powers_of_negative_bases_match_python_pow():
+    # the tables take libm's pow, for a batch as for one point; at negative
+    # bases and integer exponents it equals Python's ** bit for bit
+    bases = (-np.geomspace(1e-5, 1e5, 41)).tolist()
+    for p in (-3, -2, 2, 3, 5):
+        assert [pow_const(Jet.constant(v, 1, 4), p).value for v in bases] == \
+            [v ** p for v in bases]
 
 
 def test_batch_fails_where_a_point_fails():

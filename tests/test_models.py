@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ def test_builtin_parameter_signs():
         builtin("paramagnet", T0=0.0)
 
 
+def test_builtins_do_not_share_parameters():
+    # the expressions of a builtin are parsed once; its parameters are not shared
+    changed = builtin("ideal_gas")
+    changed.parameters["R"] = 2.0
+    fresh = builtin("ideal_gas")
+    assert fresh.parameters == {"R": 1.0, "c": 1.5, "K": 1.0, "S0": 0.0}
+    assert fresh.entropy_value([1, 1, 1]) == pytest.approx(0.0)
+    assert changed.entropy_value([1, 2, 1]) == pytest.approx(2 * fresh.entropy_value([1, 2, 1]))
+
+
 def test_builtin_unknown_override():
     with pytest.raises(ModelSchemaError):
         builtin("ideal_gas", Z=2.0)
@@ -134,6 +145,21 @@ def test_batched_domain_mask_matches_points():
     grid = np.array([[u, q, 0.25] for u in np.linspace(0.1, 2, 9)
                      for q in np.linspace(0, 0.4, 9)])
     assert kn.domain_check(grid).tolist() == [kn.domain_check(p) for p in grid]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_non_finite_points_lie_outside_every_domain(name):
+    # paramagnet's constraints leave I out, "free" has none: a point with a
+    # non-finite coordinate is still outside, and marks only itself
+    free = load_model(json.dumps({"name": "free", "coordinates": ["x", "y", "z"],
+                                  "entropy": "x + y + z"}))
+    points = sample_points(name, 12, np.random.default_rng(5))
+    for k, (i, v) in enumerate(product(range(3), [math.inf, -math.inf, math.nan])):
+        points[k, i] = v
+    for model in (builtin(name), free):
+        mask = model.domain_check(points)
+        assert mask.tolist() == [model.domain_check(p) for p in points]
+        assert mask.tolist() == [False] * 9 + [True] * 3
 
 
 def _order1_inside(model, point):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (fd_scalar_curvature, metric_ideal_gas,
-                     metric_kn_radiant_jslice)
-from hessiometric import builtin, load_model
+                     metric_kn_radiant_jslice, sample_points)
+from hessiometric import BUILTIN_NAMES, builtin, expr, jets, load_model
 from hessiometric.errors import (DegenerateSliceError, DomainError,
                                  RankDeficientError)
 from hessiometric.submanifold import (christoffel_derivatives, curvature,
@@ -16,6 +16,7 @@ from hessiometric.submanifold import (christoffel_derivatives, curvature,
                                       flatness_residual,
                                       legendre_invariance_residual,
                                       levi_civita, make_slice, pullback_metric)
+from hessiometric.submanifold import _pullback_jet
 
 
 def random_interior_slice(rng, model, ndrop=1, box=(0.8, 1.5)):
@@ -310,6 +311,34 @@ def test_batched_curvature_matches_single_points(name, B, c, axes):
                                        else {"DOMAIN", "OK"})
     if name == "kerr_newman_radiant":
         assert batched[-1] == ("KERNEL",)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_folded_slice_coordinates_match_affine_jets(name):
+    # a coordinate constant on the slice (a +0.0 Jacobian row) enters the walk
+    # as a float; the pulled-back jet equals, sign bits included, that of a
+    # walk keeping it an affine jet, on axis-aligned and oblique slices
+    model = builtin(name)
+    rng = np.random.default_rng(11)
+    x0 = sample_points(name, 1, rng)[0]
+    for B, fixed in [([[0, 0, 1]], [2]), ([[0, 1, 0]], [1]), ([[1, 0, 0]], [0]),
+                     ([[1, 0, 0], [0, 1, 1]], [0]), ([[1, 1, 0]], []),
+                     ([[0.3, 0.5, 1]], [])]:
+        sl = make_slice(B, np.array(B, dtype=float) @ x0)
+        xs = sl.embed(sl.project(x0) + rng.uniform(-0.05, 0.05, (16, sl.slice_dim)))
+        xs = xs[model.domain_check(xs)]
+        for x in (xs, xs[0]):
+            for order in (1, 4):
+                env = expr.environment(model.coordinates, model.parameters, x.T,
+                                       sl.jacobian, order)
+                assert [i for i, c in enumerate(model.coordinates)
+                        if isinstance(env[c], float)] == fixed
+                folded = _pullback_jet(model, sl, x, order).coeffs
+                env = dict(zip(model.coordinates, jets.affine_jets(x.T, sl.jacobian, order)))
+                env.update((k, float(v)) for k, v in model.parameters.items())
+                kept = (-expr.eval_finite(model.entropy, env)).coeffs
+                assert np.array_equal(folded, kept)
+                assert np.array_equal(np.signbit(folded), np.signbit(kept))
 
 
 def test_batch_in_domain_evaluation_failure_raises():
