@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -95,10 +94,6 @@ def _parse_slice(text: str, dim: int) -> submanifold.SliceSpec:
         return submanifold.make_slice(B, np.array(consts))
     except HessiometricError as e:
         raise _CliError(str(e), EXIT_MODEL_ERROR)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # -- check -------------------------------------------------------------
@@ -200,41 +195,41 @@ def _parse_grid(text: str, r: int):
 
 
 def _curvature_rows(model, sl, zs):
-    """CSV rows of the slice points ``zs`` (P, r) from one batch: DOMAIN and
-    KERNEL by the domain and singular masks, else OK; in-domain failures raise."""
-    rows = [[_fmt(v) for v in z] + ["", "", "", "DOMAIN"] for z in zs]
+    """CSV lines of the slice points ``zs`` (P, r) from one batch, each one %-format:
+    DOMAIN and KERNEL by the domain and singular masks, else OK; in-domain
+    failures raise."""
+    coords = ",".join(["%.17g"] * zs.shape[1])
+    rows = [[coords + ",,,,DOMAIN", tuple(z)] for z in zs.tolist()]
     xs = sl.embed(zs)
     inside = np.flatnonzero(model.domain_check(xs))
     if inside.size:
         report = submanifold.curvature(
             submanifold._pullback(model, sl, zs[inside], xs[inside]))
         conn = report.connection
-        flatness = conn.dual_flatness()
-        for k, i in enumerate(inside):
-            rows[i][-4:] = (["", "", "", "KERNEL"] if conn.singular[k] else
-                            [_fmt(report.scalar[k]), _fmt(conn.eigenvalues[k, 0]),
-                             _fmt(flatness[k]), "OK"])
-    return rows
+        ok = zip(report.scalar.tolist(), conn.eigenvalues[:, 0].tolist(),
+                 report.dual_flatness.tolist())
+        for i, singular, values in zip(inside.tolist(), conn.singular.tolist(), ok):
+            rows[i][0] = coords + (",,,,KERNEL" if singular else ",%.17g,%.17g,%.17g,OK")
+            rows[i][1] += () if singular else values
+    return [fmt % values for fmt, values in rows]
 
 
 def cmd_curvature(args) -> int:
     model = _resolve_model(args.model)
     sl = _parse_slice(args.slice, model.dim)
     zs = _parse_grid(args.grid, sl.slice_dim)
-    rows = [row for start in range(0, len(zs), _BLOCK)
-            for row in _curvature_rows(model, sl, zs[start:start + _BLOCK])]
-    buffer = io.StringIO()
-    header = [f"z{i+1}" for i in range(sl.slice_dim)]
-    header += ["scalar_curvature", "lambda_min", "dual_flatness_residual",
-               "status"]
-    buffer.write(",".join(header) + "\n")
-    for row in rows:
-        buffer.write(",".join(row) + "\n")
+    lines = [",".join([f"z{i+1}" for i in range(sl.slice_dim)] + [
+        "scalar_curvature", "lambda_min", "dual_flatness_residual", "status"])]
+    for start in range(0, len(zs), _BLOCK):
+        lines += _curvature_rows(model, sl, zs[start:start + _BLOCK])
+    text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
-        Path(args.out).write_text(buffer.getvalue(), encoding="utf-8",
-                                  newline="\n")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as e:
+            raise _CliError(f"cannot write {args.out}: {e}", EXIT_MODEL_ERROR)
     else:
-        sys.stdout.write(buffer.getvalue())
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -36,10 +36,11 @@ MAX_DIM = 8
 def _space(dim: int, order: int):
     """Index tables for jets of a given dimension and order.
 
-    Returns (indices, rank, mul_table, factorials, tensors): the graded-lex
-    exponent tuples, tuple -> slot, the (ia, ib, ic) arrays driving the
-    truncated convolution, the multi-index factorials, and per order k the
-    (slots, factorials[slots]) pair that gathers the order-k tensor.
+    Returns (indices, rank, mul_table, factorials, tensors, powers): the graded-lex
+    exponent tuples, tuple -> slot, the (ia, ib, ic) arrays driving the truncated
+    convolution, the multi-index factorials, per order k the (slots,
+    factorials[slots]) pair that gathers the order-k tensor, and for k = 2..order
+    ``mul_table`` cut to h^(k-1) * h for h(0) = 0 (deg a >= k-1, deg b >= 1).
     """
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
@@ -48,14 +49,12 @@ def _space(dim: int, order: int):
     indices = [e for e in product(range(order + 1), repeat=dim) if sum(e) <= order]
     indices.sort(key=lambda e: (sum(e), e))
     rank = {e: i for i, e in enumerate(indices)}
-    ia, ib, ic = [], [], []
-    for i, a in enumerate(indices):
-        for j, b in enumerate(indices):
-            if sum(a) + sum(b) <= order:
-                ia.append(i)
-                ib.append(j)
-                ic.append(rank[tuple(x + y for x, y in zip(a, b))])
-    table = (np.asarray(ia), np.asarray(ib), np.asarray(ic))
+    pairs = np.array([(i, j, rank[tuple(x + y for x, y in zip(a, b))], sum(a), sum(b))
+                      for i, a in enumerate(indices) for j, b in enumerate(indices)
+                      if sum(a) + sum(b) <= order], dtype=np.intp).T
+    table = tuple(pairs[:3])
+    powers = tuple(tuple(t[(pairs[3] >= k - 1) & (pairs[4] >= 1)] for t in table)
+                   for k in range(2, order + 1))
     factorials = np.array([math.prod(math.factorial(k) for k in e) for e in indices],
                           dtype=float)
     tensors = []
@@ -64,7 +63,7 @@ def _space(dim: int, order: int):
         for axes in product(range(dim), repeat=k):
             slots[axes] = rank[tuple(axes.count(i) for i in range(dim))]
         tensors.append((slots, factorials[slots]))
-    return indices, rank, table, factorials, tuple(tensors)
+    return indices, rank, table, factorials, tuple(tensors), powers
 
 
 def _jet(dim, order, coeffs):
@@ -78,7 +77,7 @@ def affine_jets(values, gradients, order):
     """Jets of k affine functions from one coefficient block: values (k,)
     or (k, P) for a batch, gradients (k, dim)."""
     dim = gradients.shape[1]
-    indices, _, _, _, tensors = _space(dim, order)
+    indices, _, _, _, tensors, _ = _space(dim, order)
     block = np.zeros((len(values), len(indices)) + values.shape[1:])
     block[:, 0] = values
     if order:
@@ -86,11 +85,11 @@ def affine_jets(values, gradients, order):
     return [_jet(dim, order, coeffs) for coeffs in block]
 
 
-def _product(dim, order, a, b):
-    """Truncated convolution of two coefficient arrays.  ``bincount``
-    sums each slot in table order, as ``np.add.at`` would, also over a
-    flattened (slot, point) index in every column of a batch."""
-    ia, ib, ic = _space(dim, order)[2]
+def _product(table, a, b):
+    """Truncated convolution of two coefficient arrays through a table.
+    ``bincount`` sums each slot in table order from +0.0, as ``np.add.at``
+    would, also over a flattened (slot, point) index in every column of a batch."""
+    ia, ib, ic = table
     terms = a[ia] * b[ib]
     if terms.ndim == 1:
         return np.bincount(ic, terms, len(a))
@@ -164,7 +163,7 @@ class Jet:
             raise ValueError("multi-index exponents must be non-negative")
         if sum(idx) > self.order:
             raise ValueError(f"multi-index order {sum(idx)} exceeds jet order {self.order}")
-        _, rank, _, factorials, _ = _space(self.dim, self.order)
+        _, rank, _, factorials, _, _ = _space(self.dim, self.order)
         r = rank[idx]
         return _item(self.coeffs[r] * factorials[r])
 
@@ -198,7 +197,7 @@ class Jet:
             return _jet(self.dim, self.order, self.coeffs * float(other) + 0.0)
         other = self._coerce(other)
         return _jet(self.dim, self.order,
-                    _product(self.dim, self.order, self.coeffs, other.coeffs))
+                    _product(_space(self.dim, self.order)[2], self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -223,14 +222,17 @@ class Jet:
         f^(order)(a0) at a0 = self.value (floats or (P,) columns for a batch).
 
         Implements Faa di Bruno through the truncation order by
-        expanding f around a0 in powers of the non-constant part.
+        expanding f around a0 in powers of the non-constant part h; h^k has
+        no slot below degree k, so each power skips the pairs that multiply
+        those zeros (for finite h, +-0 terms that leave the sums unchanged).
         """
         h = self.coeffs.copy()
         h[0] = 0.0
         out = np.zeros_like(h)
         out[0] = derivs[0]
+        powers = _space(self.dim, self.order)[5]
         for k in range(1, self.order + 1):
-            power = h if k == 1 else _product(self.dim, self.order, power, h)
+            power = h if k == 1 else _product(powers[k - 2], power, h)
             out = out + power * (derivs[k] / math.factorial(k))
         return _jet(self.dim, self.order, out)
 

@@ -96,7 +96,6 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
     # orthonormal basis of B's row space, column-major as LAPACK returns
     # it: the layout decides how the projections below round
     q_rows = np.asfortranarray(q_full[:, :m])
-    q_comp = q_full[:, m:]        # orthonormal complement
 
     pivots, rest = [], B.copy()
     for _ in range(m):
@@ -109,10 +108,6 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
         e = np.zeros(n)
         e[j] = 1.0
         rows[i] = e - q_rows @ (q_rows.T @ e)
-    # fall back to the orthonormal complement if the projected basis
-    # vectors degenerate
-    if np.linalg.matrix_rank(rows, tol=1e-10) < r:
-        rows = q_comp.T
     T = np.vstack([rows, B])
     T_inv = np.linalg.inv(T)
     return SliceSpec(constraints=B, constants=c, chart=T, chart_inv=T_inv)
@@ -198,7 +193,8 @@ class Connection:
     def dual_flatness(self):
         """Curvature residual of the dual connection 2*Gamma (the flat one
         vanishes in the adapted affine chart); zero in exact arithmetic."""
-        return flatness_residual(2.0 * self.gamma, 2.0 * self.dgamma)
+        return _flatness(self.gamma, self.dgamma, 2.0,
+                         *_riemann_parts(self.gamma, self.dgamma))
 
 
 def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
@@ -234,12 +230,12 @@ def christoffel_derivatives(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarr
     return connection(pb, tol_rel).dgamma
 
 
-def connection_curvature(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """Curvature tensor R[a, b, c, d] = R^a_bcd of a connection given
-    its coefficients and their coordinate derivatives."""
-    return (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma)
-            + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-            - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
+def _riemann_parts(gamma: np.ndarray, dgamma: np.ndarray):
+    """Curvature tensor R[a, b, c, d] = R^a_bcd = (D + B1) - B2 of a connection
+    from its coefficients and their coordinate derivatives, as (D, B1, B2)."""
+    return (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma),
+            np.einsum("...ace,...edb->...abcd", gamma, gamma),
+            np.einsum("...ade,...ecb->...abcd", gamma, gamma))
 
 
 def _amax(a: np.ndarray, k: int):
@@ -247,50 +243,62 @@ def _amax(a: np.ndarray, k: int):
     return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
 
 
+def _flatness(gamma, dgamma, k, d, b1, b2):
+    """:func:`flatness_residual` of k*Gamma from the parts of Gamma's curvature:
+    scaling by k = 1 or 2 scales D by k and B1, B2 by k*k, exactly."""
+    g = k * _amax(gamma, 3)
+    scale = np.maximum(np.maximum(g * g, k * _amax(dgamma, 4)), _EPS)
+    return _item(_amax(k * d + k * k * b1 - k * k * b2, 4) / scale)
+
+
 @dataclass
 class CurvatureReport:
+    """Curvature of the induced metric at a slice point (arrays for a batch);
+    ``residuals`` (antisymmetry, Bianchi, metric compatibility) is computed when read."""
+
     z: np.ndarray
     metric: np.ndarray
     connection: Connection
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
-    residuals: Mapping[str, float]
+    dual_flatness: float      # :meth:`Connection.dual_flatness`
+    pullback: PullbackData = field(repr=False)
+
+    @property
+    def residuals(self) -> Mapping[str, float]:
+        riemann, gamma, pb = self.riemann, self.connection.gamma, self.pullback
+        r_scale = _amax(riemann, 4) + _EPS
+        antisym = _amax(riemann + riemann.swapaxes(-1, -2), 4) / r_scale
+        bianchi = _amax(riemann + np.einsum("...adbc->...abcd", riemann)
+                        + np.einsum("...acdb->...abcd", riemann), 4) / r_scale
+        nabla_g = (pb.dgbar
+                   - np.einsum("...dca,...db->...cab", gamma, pb.gbar)
+                   - np.einsum("...dcb,...ad->...cab", gamma, pb.gbar))
+        compat = _amax(nabla_g, 3) / (_amax(pb.dgbar, 3) + _EPS)
+        return {"antisymmetry": _item(antisym), "bianchi": _item(bianchi),
+                "metric_compatibility": _item(compat)}
 
 
 def curvature(pb: PullbackData) -> CurvatureReport:
     """Riemann, Ricci and scalar curvature of the induced metric at a
-    slice point, with structural residual diagnostics (arrays for a batch,
-    meaningless where ``connection.singular``)."""
+    slice point, and the dual flatness from the same Riemann parts
+    (arrays for a batch, meaningless where ``connection.singular``)."""
     conn = connection(pb)
-    gamma = conn.gamma
-    riemann = connection_curvature(gamma, conn.dgamma)
+    d, b1, b2 = _riemann_parts(conn.gamma, conn.dgamma)
+    riemann = d + b1 - b2
     ricci = np.einsum("...abad->...bd", riemann)
     scalar = np.einsum("...bd,...bd->...", conn.ginv, ricci)
-
-    r_scale = _amax(riemann, 4) + _EPS
-    antisym = _amax(riemann + riemann.swapaxes(-1, -2), 4) / r_scale
-    bianchi = _amax(riemann + np.einsum("...adbc->...abcd", riemann)
-                    + np.einsum("...acdb->...abcd", riemann), 4) / r_scale
-    nabla_g = (pb.dgbar
-               - np.einsum("...dca,...db->...cab", gamma, pb.gbar)
-               - np.einsum("...dcb,...ad->...cab", gamma, pb.gbar))
-    compat = _amax(nabla_g, 3) / (_amax(pb.dgbar, 3) + _EPS)
     return CurvatureReport(z=pb.z, metric=pb.gbar, connection=conn,
-                           riemann=riemann, ricci=ricci,
-                           scalar=_item(scalar),
-                           residuals={"antisymmetry": _item(antisym),
-                                      "bianchi": _item(bianchi),
-                                      "metric_compatibility": _item(compat)})
+                           riemann=riemann, ricci=ricci, scalar=_item(scalar),
+                           dual_flatness=_flatness(conn.gamma, conn.dgamma, 2.0, d, b1, b2),
+                           pullback=pb)
 
 
 def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray):
     """Size of the curvature of a connection, normalized by the natural
     scale of its coefficients (per point for a batch)."""
-    riemann = connection_curvature(gamma, dgamma)
-    g = _amax(gamma, 3)
-    scale = np.maximum(np.maximum(g * g, _amax(dgamma, 4)), _EPS)
-    return _item(_amax(riemann, 4) / scale)
+    return _flatness(gamma, dgamma, 1.0, *_riemann_parts(gamma, dgamma))
 
 
 def dual_flatness_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
@@ -315,8 +323,8 @@ def dual_potential(model: PotentialModel, sl: SliceSpec, z,
     shortcut.  A mismatch between the two flags a non-extensive model."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = sl.embed(z)
-    jet = _pullback_jet(model, sl, x, order=1)
     model.require_domain(x)
+    jet = _pullback_jet(model, sl, x, order=1)
     value = float(z @ jet.gradient() - jet.value)
 
     ambient = model.potential_jet(x, order=1)

@@ -1,8 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,17 @@ def test_domain_errors_print_no_numpy_warnings(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("point", ["inf,1", "-1,1"])
+def test_legendre_reports_the_domain_violation(point, capsys):
+    # the domain is checked before the potential is evaluated, as in check
+    code, out, err = run_cli(["legendre", "ideal_gas", "--slice", "0,0,1=1",
+                              f"--point={point}"], capsys)
+    assert code == cli.EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert re.fullmatch(r"error: point \[.*\] violates the domain of model "
+                        r"'ideal_gas'\n", err)
+
+
 def test_non_finite_point_is_outside_every_domain(tmp_path, capsys):
     # a model without domain constraints would otherwise print Infinity
     model = tmp_path / "nodomain.json"
@@ -203,6 +216,51 @@ def test_curvature_out_file(tmp_path, capsys):
     assert out == ""
     assert out_path.read_text() \
         == (GOLDEN / "curvature_kn_radiant.csv").read_text()
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_dir/x.csv"])
+def test_curvature_unwritable_out_is_usage_error(target, tmp_path, capsys):
+    out_path = tmp_path if target == "directory" else tmp_path / target
+    code, out, err = run_cli(["curvature", "ideal_gas", "--slice", "0,0,1=1",
+                              "--grid", "1:2:2,1:2:2", "--out", str(out_path)],
+                             capsys)
+    assert code == cli.EXIT_MODEL_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+def _rows_formatted_per_value(model, sl, zs):
+    """Curvature CSV rows as formatted one value at a time."""
+    fmt = lambda x: format(float(x), ".17g")
+    rows = [[fmt(v) for v in z] + ["", "", "", "DOMAIN"] for z in zs]
+    inside = np.flatnonzero(model.domain_check(sl.embed(zs)))
+    report = submanifold.curvature(submanifold.pullback_metric(model, sl, zs[inside]))
+    conn = report.connection
+    flatness = conn.dual_flatness()
+    for k, i in enumerate(inside):
+        rows[i][-4:] = (["", "", "", "KERNEL"] if conn.singular[k] else
+                        [fmt(report.scalar[k]), fmt(conn.eigenvalues[k, 0]),
+                         fmt(flatness[k]), "OK"])
+    return [",".join(row) for row in rows]
+
+
+def test_curvature_rows_equal_the_per_value_format():
+    statuses = set()
+    for name, spec, axes in [
+            ("kerr_newman_radiant", ([0, 0, 1], [0.25]),
+             [np.linspace(0.3, 2.0, 9), np.linspace(0.05, 0.375, 8)]),
+            ("ideal_gas", ([1, -1, 0], [0.0]),
+             [np.linspace(-1.0, 1.5, 6), np.linspace(-0.5, 1.5, 5)]),
+            ("paramagnet", ([1, 2, 3], [4.0]), [np.linspace(-1, 1, 7)] * 2)]:
+        model, sl = models.builtin(name), submanifold.make_slice(*spec)
+        # a KERNEL point of the KN slice, a signed zero, a tiny value, 1 + ulp
+        zs = np.vstack([list(product(*axes)), [[0.5, 0.374999999999], [1.5, -0.0],
+                                               [1.5, 1e-12], [1.0000000000000002, 0.1]]])
+        rows = cli._curvature_rows(model, sl, zs)
+        assert rows == _rows_formatted_per_value(model, sl, zs)
+        statuses |= {row.rsplit(",", 1)[1] for row in rows}
+    assert statuses == {"DOMAIN", "KERNEL", "OK"}
 
 
 def test_curvature_status_rows(capsys):
@@ -277,7 +335,8 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
             getattr(np.linalg, name), lambda _, name=name: name))
     monkeypatch.setattr(Jet, "compose", counted(Jet.compose, lambda _: "compose"))
 
-    assert cli._curvature_rows(model, sl, np.array([[1.5, 0.2]]))[0][-1] == "OK"
+    row = cli._curvature_rows(model, sl, np.array([[1.5, 0.2]]))[0]
+    assert row.rsplit(",", 1)[1] == "OK"
     assert counts["jet_order_4"] == 1
     assert counts["hessian_metric"] == 0
     assert counts["eigvalsh"] == 1 and counts["inv"] == 1
@@ -286,7 +345,8 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     # folds everything, the pullback composes only u^2 and sqrt
     assert counts["compose"] == 2
     counts.clear()
-    assert cli._curvature_rows(model, sl, np.array([[0.3, 0.2]]))[0][-1] == "DOMAIN"
+    row = cli._curvature_rows(model, sl, np.array([[0.3, 0.2]]))[0]
+    assert row.rsplit(",", 1)[1] == "DOMAIN"
     assert counts["jet_order_4"] == 0
     assert counts["domain_check"] == 1
 

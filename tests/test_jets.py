@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessiometric.errors import DomainError
-from hessiometric.jets import Jet, exp, ln, pow_const, sqrt
+from hessiometric.jets import Jet, _product, _space, exp, ln, pow_const, sqrt
 
 
 def test_seed_two_vars():
@@ -149,7 +149,7 @@ def test_product_is_truncated_convolution(dim, order, seed):
     a = _random_poly_jet(rng, dim, order)
     b = _random_poly_jet(rng, dim, order)
     prod = a * b
-    indices, rank, _, _, _ = _space(dim, order)
+    indices, rank = _space(dim, order)[:2]
     expected = np.zeros(len(indices))
     for ia, ea in enumerate(indices):
         for ib, eb in enumerate(indices):
@@ -269,6 +269,57 @@ def test_batched_jets_equal_their_columns(dim, order, points, seed):
             assert np.array_equal(t[p], getattr(_column(a, p), name)())
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and \
+        np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _compose_through_the_full_table(jet, derivs):
+    """The powers h^k and the result of ``compose`` with every power taken
+    through the full product table."""
+    table = _space(jet.dim, jet.order)[2]
+    h = jet.coeffs.copy()
+    h[0] = 0.0
+    out = np.zeros_like(h)
+    out[0] = derivs[0]
+    powers = []
+    for k in range(1, jet.order + 1):
+        powers.append(h if k == 1 else _product(table, powers[-1], h))
+        out = out + powers[-1] * (derivs[k] / math.factorial(k))
+    return powers, out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("points", [0, 3])
+@np.errstate(over="ignore", invalid="ignore")
+def test_powers_through_pruned_tables_equal_the_full_table(dim, order, points):
+    rng = np.random.default_rng(100 * dim + 10 * order + points)
+    n = len(_space(dim, order)[0])
+    shape = (n, points) if points else (n,)
+    jet = Jet(dim, order, rng.uniform(-1, 1, shape))
+    derivs = rng.uniform(-1, 1, (order + 1,) + shape[1:])
+    powers, full = _compose_through_the_full_table(jet, derivs)
+    h = powers[0]
+    for k, table in enumerate(_space(dim, order)[5], start=2):
+        assert _same_bits(_product(table, powers[k - 2], h), powers[k - 1])
+    assert _same_bits(jet.compose(derivs).coeffs, full)
+    # an edge value in one slot of the first point, also with a zero derivative:
+    # finite slots keep their bits, and the non-finite slots are the same
+    zero_second = derivs.copy()
+    zero_second[2] = 0.0
+    for v in _EDGE_VALUES + [1e155, 1e-170]:
+        for slot in range(n):
+            edge = Jet(dim, order, jet.coeffs.copy())
+            edge.coeffs.reshape(n, -1)[slot, 0] = v
+            for d in (derivs, zero_second):
+                full = _compose_through_the_full_table(edge, d)[1]
+                got = edge.compose(d).coeffs
+                finite = np.isfinite(full)
+                assert np.array_equal(np.isfinite(got), finite)
+                assert _same_bits(got[finite], full[finite])
+
+
 def test_integer_powers_of_negative_bases_match_python_pow():
     # the tables take libm's pow, for a batch as for one point; at negative
     # bases and integer exponents it equals Python's ** bit for bit
@@ -303,14 +354,24 @@ def test_float_operand_rounds_as_constant_jet(dim, order, points, data):
     shape = (n, points) if points else (n,)
     coeffs = data.draw(st.lists(_slots, min_size=n * max(points, 1),
                                 max_size=n * max(points, 1)))
-    x = Jet(dim, order, np.reshape(coeffs, shape))
-    c = data.draw(_operand)
+    _assert_float_operand_rounds_as_constant_jet(
+        Jet(dim, order, np.reshape(coeffs, shape)), data.draw(_operand))
+
+
+def test_float_operand_whose_reciprocal_derivatives_overflow():
+    # 24 / c**5 overflows, so the reference's compose multiplies the zero
+    # powers of a constant jet by inf: both sides give NaN
+    _assert_float_operand_rounds_as_constant_jet(Jet(3, 4, np.zeros(35)),
+                                                 1.2500269263145994e-62)
+
+
+def _assert_float_operand_rounds_as_constant_jet(x, c):
     ops = [lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
            lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
            lambda a, b: a / b]
     for op in ops:
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 expected = op(x, x.constant_like(c)).coeffs
         except DomainError:
             with pytest.raises(DomainError):

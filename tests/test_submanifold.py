@@ -4,13 +4,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (fd_scalar_curvature, metric_ideal_gas,
                      metric_kn_radiant_jslice, sample_points)
 from hessiometric import BUILTIN_NAMES, builtin, expr, jets, load_model
 from hessiometric.errors import (DegenerateSliceError, DomainError,
                                  RankDeficientError)
-from hessiometric.submanifold import (christoffel_derivatives, curvature,
+from hessiometric.submanifold import (Connection, christoffel_derivatives, curvature,
                                       dual_coordinates,
                                       dual_flatness_residual, dual_potential,
                                       flatness_residual,
@@ -89,7 +92,7 @@ def _lapack_chart(B):
     return chart, np.linalg.inv(chart)
 
 
-def test_adapted_chart_matches_lapack_pivoted_qr():
+def _chart_test_slices():
     slices = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [1, -1, 0], [1, 1, 0],
               [0.3, 0.7, 0.2], [1, 2, 3], [0, 1],
               [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]
@@ -97,11 +100,38 @@ def test_adapted_chart_matches_lapack_pivoted_qr():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         slices.append(rng.standard_normal((int(rng.integers(1, n)), n)))
-    for B in slices:
+    return slices
+
+
+def test_adapted_chart_matches_lapack_pivoted_qr():
+    for B in _chart_test_slices():
         sl = make_slice(B, np.ones(np.atleast_2d(B).shape[0]))
         chart, chart_inv = _lapack_chart(B)
         assert np.array_equal(sl.chart, chart)
         assert np.array_equal(sl.chart_inv, chart_inv)
+
+
+def test_projected_chart_rows_have_full_rank():
+    # the greedy pivots make B[:, pivots] nonsingular, so the projections
+    # of the free unit vectors span the complement of B's row space
+    rng = np.random.default_rng(41)
+    slices = _chart_test_slices()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, n))
+        slices.append(rng.integers(-3, 4, (m, n)))
+        slices.append(rng.standard_normal((m, n)))
+        slices.append(rng.integers(0, 2, (m, n)))
+    checked = 0
+    for B in slices:
+        B = np.atleast_2d(B)
+        try:
+            sl = make_slice(B, np.ones(B.shape[0]))
+        except RankDeficientError:
+            continue  # a random integer B may be singular
+        assert np.linalg.matrix_rank(sl.chart[: sl.slice_dim], tol=1e-10) == sl.slice_dim
+        checked += 1
+    assert checked > 700
 
 
 def test_non_finite_slice_rejected():
@@ -247,6 +277,99 @@ def test_curvature_structural_residuals():
         assert report.residuals["antisymmetry"] <= 1e-10
         assert report.residuals["bianchi"] <= 1e-9
         assert report.residuals["metric_compatibility"] <= 1e-10
+
+
+def amax(a, k):
+    return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
+
+
+def _eager_residuals(pb, report):
+    """The structural residuals as curvature() computed them eagerly."""
+    riemann, gamma = report.riemann, report.connection.gamma
+    r_scale = amax(riemann, 4) + 1e-300
+    antisym = amax(riemann + riemann.swapaxes(-1, -2), 4) / r_scale
+    bianchi = amax(riemann + np.einsum("...adbc->...abcd", riemann)
+                   + np.einsum("...acdb->...abcd", riemann), 4) / r_scale
+    nabla_g = (pb.dgbar
+               - np.einsum("...dca,...db->...cab", gamma, pb.gbar)
+               - np.einsum("...dcb,...ad->...cab", gamma, pb.gbar))
+    compat = amax(nabla_g, 3) / (amax(pb.dgbar, 3) + 1e-300)
+    return {"antisymmetry": antisym, "bianchi": bianchi,
+            "metric_compatibility": compat}
+
+
+def _slice_points_of_every_builtin():
+    """(name, pullback of a batch) on axis-aligned and oblique slices."""
+    rng = np.random.default_rng(17)
+    for name in BUILTIN_NAMES:
+        model = builtin(name)
+        x0 = sample_points(name, 1, rng)[0]
+        for B in ([[0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]], [[1, 1, 0]],
+                  [[0.3, 0.5, 1]], [[1, 2, 3]], [[1, 0, 0], [0, 1, 1]]):
+            sl = make_slice(B, np.array(B, dtype=float) @ x0)
+            zs = sl.project(x0) + rng.uniform(-0.05, 0.05, (8, sl.slice_dim))
+            zs = zs[model.domain_check(sl.embed(zs))]
+            zs = zs[~curvature(pullback_metric(model, sl, zs)).connection.singular]
+            if len(zs):
+                yield name, model, sl, zs
+
+
+def test_residuals_equal_the_eager_formulas():
+    for _, model, sl, zs in _slice_points_of_every_builtin():
+        for z in (zs, zs[0]):
+            pb = pullback_metric(model, sl, z)
+            report = curvature(pb)
+            expected = _eager_residuals(pb, report)
+            assert report.residuals.keys() == expected.keys()
+            for key, value in report.residuals.items():
+                assert np.array_equal(value, expected[key])
+                assert isinstance(value, float) == (z.ndim == 1)
+
+
+def _doubled_connection_flatness(gamma, dgamma):
+    """flatness_residual(2Γ, 2∂Γ) from the curvature of the doubled tensors."""
+    g2, dg2 = 2.0 * gamma, 2.0 * dgamma
+    riemann = (np.einsum("...cadb->...abcd", dg2) - np.einsum("...dacb->...abcd", dg2)
+               + np.einsum("...ace,...edb->...abcd", g2, g2)
+               - np.einsum("...ade,...ecb->...abcd", g2, g2))
+    g = amax(g2, 3)
+    return amax(riemann, 4) / np.maximum(np.maximum(g * g, amax(dg2, 4)), 1e-300)
+
+
+def test_dual_flatness_equals_the_doubled_connection_residual():
+    # from the Riemann parts of Gamma: bit for bit flatness_residual(2Γ, 2∂Γ)
+    model = builtin("kerr_newman_radiant")
+    golden = make_slice([0, 0, 1], [0.25]), \
+        np.array(list(product(np.linspace(1, 2, 3), np.linspace(0.1, 0.3, 3))))
+    cases = [("kerr_newman_radiant", model) + golden]
+    for case in cases + list(_slice_points_of_every_builtin()):
+        _, model, sl, zs = case
+        for z in (zs, zs[0]):
+            report = curvature(pullback_metric(model, sl, z))
+            conn = report.connection
+            expected = flatness_residual(2.0 * conn.gamma, 2.0 * conn.dgamma)
+            assert np.array_equal(expected, _doubled_connection_flatness(conn.gamma,
+                                                                         conn.dgamma))
+            assert np.array_equal(report.dual_flatness, expected)
+            assert np.array_equal(conn.dual_flatness(), expected)
+
+
+def _tensors(r, k):
+    return hnp.arrays(float, (r,) * k, elements=st.floats(
+        -1e150, 1e150, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(_tensors(r, 3), _tensors(r, 4))))
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
+def test_dual_flatness_from_parts_on_arbitrary_tensors(tensors):
+    gamma, dgamma = tensors
+    conn = Connection(eigenvalues=None, ginv=None, gamma=gamma, dgamma=dgamma,
+                      singular=None)
+    expected = _doubled_connection_flatness(gamma, dgamma)
+    assert np.array_equal(conn.dual_flatness(), expected, equal_nan=True)
+    assert np.array_equal(flatness_residual(2.0 * gamma, 2.0 * dgamma), expected,
+                          equal_nan=True)
 
 
 def test_christoffel_identity_all_indices_down():
