@@ -6,10 +6,9 @@ from .errors import (DegenerateSliceError, DomainError, ExprSyntaxError,
                      HessiometricError, ModelSchemaError, RankDeficientError,
                      SingularDualChartError, UnknownIdentifierError)
 from .expr import parse, pretty, validate, eval_jet
-from .geometry import (InvolutivityResult, KernelBasis, MetricField,
-                       codazzi_residual, euler_defect, gibbs_duhem_residual,
-                       hessian_metric, involutivity_residual, kernel,
-                       psd_check, radiant_field)
+from .geometry import (KernelBasis, MetricField, codazzi_residual,
+                       euler_defect, gibbs_duhem_residual, hessian_metric,
+                       kernel, psd_check, radiant_field)
 from .jets import Jet
 from .models import BUILTIN_NAMES, PotentialModel, builtin, load_model
 from .submanifold import (CurvatureReport, DualPotential, PullbackData,

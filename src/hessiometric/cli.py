@@ -1,8 +1,9 @@
 """Batch front-end: invariant checks, curvature scans, Legendre reports.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 model/usage errors,
-3 domain violation.  A grid is evaluated as one batch per 1024 points;
-the HESSIOMETRIC_THREADS environment variable is accepted and ignored.
+3 domain violation.  `check`, `report` and `curvature` evaluate their
+points in blocks of 1024, one batched jet per block; the
+HESSIOMETRIC_THREADS environment variable is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_MODEL_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
-_BLOCK = 1024  # grid points per batched evaluation: bounds a large scan's memory
+_BLOCK = 1024  # points per batched evaluation: bounds a large call's memory
 
 
 class _CliError(Exception):
@@ -98,36 +99,38 @@ def _parse_slice(text: str, dim: int) -> submanifold.SliceSpec:
 
 # -- check -------------------------------------------------------------
 
-def _point_checks(model, point, tol_rank, tol_check):
-    mf = geometry.hessian_metric(model, point)
+def _metric_fields(model, points):
+    """Metric field of each point of a block, from one batched jet.  If the
+    block raises, its points run one at a time, so that the first failing
+    point in input order decides the message."""
+    try:
+        mf = geometry.hessian_metric(model, np.array(points))
+    except DomainError:
+        return [geometry.hessian_metric(model, p) for p in points]
+    return [mf.at(i) for i in range(len(points))]
+
+
+def _point_checks(mf, tol_rank, tol_check):
     verdict_psd, lam_min = geometry.psd_check(mf, tol_rank)
     kb = geometry.kernel(mf, tol_rank)
     gd = geometry.gibbs_duhem_residual(mf)
     cd = geometry.codazzi_residual(mf)
-    defect = geometry.euler_defect(model, point)
     kernel_dim = mf.g.shape[0] - kb.rank
+
+    def entry(check, value, residual, tolerance, ok):
+        return {"check": check, "point": mf.point.tolist(), "value": value,
+                "residual": residual, "tolerance": tolerance,
+                "verdict": "pass" if ok else "fail"}
     return [
-        {"check": "psd", "point": point.tolist(),
-         "value": {"verdict": verdict_psd, "lambda_min": lam_min},
-         "residual": max(0.0, -lam_min), "tolerance": tol_rank,
-         "verdict": "pass" if verdict_psd == "psd" else "fail"},
-        {"check": "kernel", "point": point.tolist(),
-         "value": {"rank": kb.rank, "kernel_dim": kernel_dim,
-                   "eigenvalues": kb.eigenvalues.tolist()},
-         "residual": float(kernel_dim == 0), "tolerance": tol_rank,
-         "verdict": "pass" if kernel_dim >= 1 else "fail"},
-        {"check": "gibbs_duhem", "point": point.tolist(),
-         "value": {"residual": gd},
-         "residual": gd, "tolerance": tol_check,
-         "verdict": "pass" if gd <= tol_check else "fail"},
-        {"check": "codazzi", "point": point.tolist(),
-         "value": {"residual": cd},
-         "residual": cd, "tolerance": tol_check,
-         "verdict": "pass" if cd <= tol_check else "fail"},
-        {"check": "euler_defect", "point": point.tolist(),
-         "value": {"defect": defect},
-         "residual": 0.0, "tolerance": tol_check,
-         "verdict": "pass"},  # spread verdict filled in across points
+        entry("psd", {"verdict": verdict_psd, "lambda_min": lam_min},
+              max(0.0, -lam_min), tol_rank, verdict_psd == "psd"),
+        entry("kernel", {"rank": kb.rank, "kernel_dim": kernel_dim,
+                         "eigenvalues": kb.eigenvalues.tolist()},
+              float(kernel_dim == 0), tol_rank, kernel_dim >= 1),
+        entry("gibbs_duhem", {"residual": gd}, gd, tol_check, gd <= tol_check),
+        entry("codazzi", {"residual": cd}, cd, tol_check, cd <= tol_check),
+        # the spread verdict is filled in across points
+        entry("euler_defect", {"defect": mf.euler_defect}, 0.0, tol_check, True),
     ]
 
 
@@ -148,11 +151,9 @@ def _apply_euler_spread(entries, tol_check):
 
 def _run_check(model, points, tol_rank, tol_check, with_timestamp):
     checks = []
-    for point in points:
-        try:
-            checks.extend(_point_checks(model, point, tol_rank, tol_check))
-        except DomainError as e:
-            raise _CliError(str(e), EXIT_DOMAIN_ERROR)
+    for start in range(0, len(points), _BLOCK):  # main() reports a DomainError
+        for mf in _metric_fields(model, points[start:start + _BLOCK]):
+            checks.extend(_point_checks(mf, tol_rank, tol_check))
     _apply_euler_spread(checks, tol_check)
     report = {"model": model.name, "version": __version__}
     if with_timestamp:

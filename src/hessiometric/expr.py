@@ -254,7 +254,7 @@ def _walk(ast, env, like):
         left = like.constant_like(left)
     # an exponent constant over the batch uses the power rule
     c = right.coeffs
-    if not c[1:].any() and (c.ndim == 1 or (c[0] == c[0, 0]).all()):
+    if not c[1:].any() and (c.ndim == 1 or c[0].size and (c[0] == c[0, 0]).all()):
         return jets.pow_const(left, c.flat[0])
     return left ** right
 
@@ -281,8 +281,8 @@ def environment(variables: Sequence[str], params: Mapping[str, float], values,
     env = {_SHAPE: block[0]}
     for name, jet, x, fold in zip(variables, block, values.tolist(), constant):
         if fold and isinstance(x, list):  # a batch: nonzero and equal is equal bit for bit
-            fold = x[0] != 0.0 and x.count(x[0]) == len(x)
-            x = x[0]
+            fold = len(x) > 0 and x[0] != 0.0 and x.count(x[0]) == len(x)
+            x = x[0] if fold else x
         env[name] = x if fold else jet
     env.update((name, float(value)) for name, value in params.items())
     return env

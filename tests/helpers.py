@@ -1,16 +1,22 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately computed without the jet engine: plain
-float math, finite differences, and hand-transcribed closed forms.
+float math, finite differences, and hand-transcribed closed forms.  The
+involutivity oracle takes the kernel fields from the metric and their Lie
+brackets by finite differences.
 """
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from hessiometric import load_model
+from hessiometric import PotentialModel, load_model
+from hessiometric.geometry import hessian_metric, kernel
+
+_EPS = 1e-300
 
 # -- closed-form entropies (plain float math) --------------------------
 
@@ -206,3 +212,99 @@ def fd_scalar_curvature(gbar_fn, z, h=1e-3):
                - np.einsum("ade,ecb->abcd", gamma, gamma))
     ricci = np.einsum("abad->bd", riemann)
     return float(np.einsum("bd,bd->", np.linalg.inv(gbar_fn(z)), ricci))
+
+
+# -- involutivity of the kernel distribution ---------------------------
+
+@dataclass
+class InvolutivityResult:
+    residual: float
+    trivial: bool
+    kernel_dim: int
+
+
+def _fd_jacobian(field, point, h):
+    """Jacobian of a vector field by 5-point (4th-order) central
+    differences."""
+    n = point.shape[0]
+    jac = np.empty((n, n))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        f_p1 = np.asarray(field(point + step), dtype=float)
+        f_m1 = np.asarray(field(point - step), dtype=float)
+        f_p2 = np.asarray(field(point + 2 * step), dtype=float)
+        f_m2 = np.asarray(field(point - 2 * step), dtype=float)
+        jac[:, j] = (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12 * h)
+    return jac
+
+
+def lie_bracket_fd(field_x, field_y, point, h: float) -> np.ndarray:
+    """[X, Y] at ``point`` by finite differences of the two vector
+    fields (callables point -> vector)."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    x0 = np.asarray(field_x(point), dtype=float)
+    y0 = np.asarray(field_y(point), dtype=float)
+    jac_x = _fd_jacobian(field_x, point, h)
+    jac_y = _fd_jacobian(field_y, point, h)
+    return jac_y @ x0 - jac_x @ y0
+
+
+def complement_residual(vector, span_basis) -> float:
+    """Norm fraction of ``vector`` outside the row span of
+    ``span_basis``, normalized by the vector norm."""
+    vector = np.asarray(vector, dtype=float)
+    basis = np.asarray(span_basis, dtype=float)
+    q, _ = np.linalg.qr(basis.T)
+    residual = vector - q @ (q.T @ vector)
+    return float(np.linalg.norm(residual) / (np.linalg.norm(vector) + _EPS))
+
+
+def involutivity_residual(model: PotentialModel, point, probe_count: int = 3,
+                          tol_rel: float = 1e-9) -> InvolutivityResult:
+    """Finite-difference check that the kernel distribution closes
+    under Lie brackets.
+
+    Smooth kernel-spanning fields are built by projecting fixed
+    reference vectors onto the pointwise kernel (spectral projection of
+    the metric).  Brackets of all pairs are computed by finite
+    differences and projected onto the orthogonal complement of the
+    kernel at ``point``; the worst normalized leak is returned.
+    ``probe_count`` adds that many extra random reference vectors.
+
+    Brackets whose norm sits at the finite-difference noise floor are
+    treated as zero (they carry no directional information).
+    """
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    mf = hessian_metric(model, point)
+    kb = kernel(mf, tol_rel)
+    k = kb.basis.shape[0]
+    if k < 2:
+        return InvolutivityResult(residual=0.0, trivial=True, kernel_dim=k)
+
+    def projector(x):
+        m = hessian_metric(model, x)
+        lam, vec = np.linalg.eigh(m.g)
+        null = np.abs(lam) <= tol_rel * np.max(np.abs(lam))
+        u = vec[:, null]
+        return u @ u.T
+
+    references = list(kb.basis)
+    if probe_count:
+        rng = np.random.default_rng(0)
+        for _ in range(probe_count):
+            v = rng.standard_normal(point.shape[0])
+            references.append(v / np.linalg.norm(v))
+
+    fields = [lambda x, v=v: projector(x) @ v for v in references]
+    h = 1e-4 * (1.0 + float(np.linalg.norm(point)))
+    noise_floor = 1e-5  # references are unit vectors
+    worst = 0.0
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            bracket = lie_bracket_fd(fields[a], fields[b], point, h)
+            norm = float(np.linalg.norm(bracket))
+            if norm <= noise_floor:
+                continue  # indistinguishable from a vanishing bracket
+            worst = max(worst, complement_residual(bracket, kb.basis))
+    return InvolutivityResult(residual=worst, trivial=False, kernel_dim=k)

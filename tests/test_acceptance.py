@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 import helpers
+from helpers import (complement_residual, involutivity_residual,
+                     lie_bracket_fd)
 from hessiometric import builtin, cli, load_model
 from hessiometric.expr import eval_jet
-from hessiometric.geometry import (codazzi_residual, complement_residual,
-                                   euler_defect, gibbs_duhem_residual,
-                                   hessian_metric, involutivity_residual,
-                                   kernel, lie_bracket_fd, symmetry_residual)
+from hessiometric.geometry import (codazzi_residual, euler_defect,
+                                   gibbs_duhem_residual, hessian_metric,
+                                   kernel, symmetry_residual)
 from hessiometric.submanifold import (curvature, dual_flatness_residual,
                                       dual_potential,
                                       legendre_invariance_residual,

@@ -164,6 +164,23 @@ def test_legendre_reports_the_domain_violation(point, capsys):
                         r"'ideal_gas'\n", err)
 
 
+@pytest.mark.parametrize("points, message", [
+    (["1e200,1e200,1e200", "-1,1,1"],
+     "expression value or derivatives are not finite"),
+    (["-1,1,1", "1e200,1e200,1e200"],
+     "point [-1.0, 1.0, 1.0] violates the domain of model 'ideal_gas'"),
+    (["1,1,1", "1e308,1,1"],
+     "derivatives of pow_const at 1e+308 leave the float range")])
+def test_check_first_failing_point_decides_the_error(points, message, capsys):
+    # one batch raises on any of its points; the message is the one the
+    # first failing point in input order gives alone
+    code, out, err = run_cli(["check", "ideal_gas", "--no-timestamp",
+                              *(f"--point={p}" for p in points)], capsys)
+    assert code == cli.EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_non_finite_point_is_outside_every_domain(tmp_path, capsys):
     # a model without domain constraints would otherwise print Infinity
     model = tmp_path / "nodomain.json"
@@ -374,6 +391,57 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     assert scan("0.05:0.2:8,0.05:0.35:8") == {"DOMAIN": 64}
     assert counts["jet_order_4"] == 0 and counts["domain_check"] == 1
     assert counts["eigvalsh"] == 0 and counts["inv"] == 0 + 1
+
+
+def _count_ambient_work(monkeypatch):
+    counts = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[key(result)] += 1
+            return result
+        return wrapper
+
+    monkeypatch.setattr(expr, "eval_finite", counted(
+        expr.eval_finite, lambda jet: f"jet_order_{jet.order}"))
+    monkeypatch.setattr(expr, "eval_on", counted(
+        expr.eval_on, lambda jet: f"walk_order_{jet.order}"))
+    monkeypatch.setattr(models.PotentialModel, "domain_check", counted(
+        models.PotentialModel.domain_check, lambda _: "domain_check"))
+    monkeypatch.setattr(geometry, "hessian_metric", counted(
+        geometry.hessian_metric, lambda _: "hessian_metric"))
+    return counts
+
+
+@pytest.mark.parametrize("count, block, blocks", [
+    (2, cli._BLOCK, 1), (100, cli._BLOCK, 1), (100, 40, 3)])
+def test_check_evaluates_the_potential_once_per_block(count, block, blocks,
+                                                      monkeypatch, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    rng = np.random.default_rng(count)
+    points.write_text("".join(f"{u!r},{v!r},{n!r}\n"
+                              for u, v, n in rng.uniform(0.5, 2.5, (count, 3)).tolist()))
+    counts = _count_ambient_work(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    code, out, _ = run_cli(["check", "ideal_gas", "--no-timestamp",
+                            "--points", str(points)], capsys)
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["checks"]) == 5 * count
+    # the Euler defect reads the potential's value and gradient from the
+    # same order-4 jet: no order-1 walk, and one domain check per block
+    assert counts["jet_order_4"] == blocks and counts["hessian_metric"] == blocks
+    assert counts["domain_check"] == blocks
+    assert counts["walk_order_1"] == 0 and counts["jet_order_1"] == 0
+
+
+def test_report_evaluates_the_potential_once(monkeypatch, capsys):
+    counts = _count_ambient_work(monkeypatch)
+    code, out, _ = run_cli(["report", "ideal_gas"], capsys)
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / "report_ideal_gas.txt").read_text()
+    assert counts["jet_order_4"] == 1 and counts["hessian_metric"] == 1
+    assert counts["walk_order_1"] == 0
 
 
 def test_values_round_trip_full_precision(capsys):

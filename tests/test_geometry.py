@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from helpers import (metric_ideal_gas, metric_paramagnet, model_doc,
-                     perturbed_model, random_homogeneous_model, sample_points)
-from hessiometric import builtin, load_model
+from helpers import (complement_residual, involutivity_residual,
+                     lie_bracket_fd, metric_ideal_gas, metric_paramagnet,
+                     model_doc, perturbed_model, random_homogeneous_model,
+                     sample_points)
+from hessiometric import BUILTIN_NAMES, builtin, load_model
 from hessiometric.errors import DomainError
-from hessiometric.geometry import (MetricField, codazzi_residual,
-                                   complement_residual, euler_defect,
-                                   gibbs_duhem_residual, hessian_metric,
-                                   involutivity_residual, kernel,
-                                   lie_bracket_fd, psd_check, radiant_field,
-                                   symmetry_residual)
+from hessiometric.geometry import (MetricField, codazzi_residual, euler_defect,
+                                   gibbs_duhem_residual, hessian_metric, kernel,
+                                   psd_check, radiant_field, symmetry_residual)
 
 SYN_RANK2 = json.dumps({
     "name": "two_block",
@@ -62,6 +61,36 @@ def test_metric_matches_closed_form_at_random_points():
         assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def test_empty_batch_gives_empty_tensors():
+    mf = hessian_metric(builtin("ideal_gas"), np.empty((0, 3)))
+    assert mf.g.shape == (0, 3, 3) and mf.dg.shape == (0, 3, 3, 3)
+    assert mf.d2g.shape == (0, 3, 3, 3, 3)
+    assert mf.potential.shape == (0,) and mf.gradient.shape == (0, 3)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batched_metric_field_diagnostics_match_single_points(name):
+    # a batch keeps its axis innermost in memory; MetricField.at copies a
+    # point out, so every diagnostic rounds as for that point alone
+    model = builtin(name)
+    points = sample_points(name, 40, np.random.default_rng(41))
+    batch = hessian_metric(model, points)
+    assert batch.g.strides == (8, 8 * 40 * 3, 8 * 40)
+
+    def bits(mf):
+        verdict, lam_min = psd_check(mf)
+        kb = kernel(mf)
+        values = [mf.g, mf.dg, mf.d2g, mf.potential, mf.gradient, lam_min,
+                  kb.basis, kb.eigenvalues, gibbs_duhem_residual(mf),
+                  codazzi_residual(mf), mf.euler_defect]
+        return [verdict, kb.rank] + [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    for i, point in enumerate(points):
+        mf = hessian_metric(model, point)
+        assert bits(batch.at(i)) == bits(mf)
+        assert mf.euler_defect.hex() == euler_defect(model, point).hex()
+
+
 def test_metric_domain_violation():
     with pytest.raises(DomainError):
         hessian_metric(builtin("ideal_gas"), [-1, 1, 1])
@@ -85,7 +114,8 @@ def test_kernel_paramagnet():
 
 def test_kernel_zero_matrix():
     mf = MetricField(point=np.zeros(3), g=np.zeros((3, 3)),
-                     dg=np.zeros((3, 3, 3)), d2g=np.zeros((3, 3, 3, 3)))
+                     dg=np.zeros((3, 3, 3)), d2g=np.zeros((3, 3, 3, 3)),
+                     potential=0.0, gradient=np.zeros(3))
     kb = kernel(mf)
     assert kb.rank == 0
     assert np.allclose(kb.basis, np.eye(3))

@@ -477,6 +477,23 @@ def test_batch_in_domain_evaluation_failure_raises():
     pullback_metric(model, sl, zs[[0, 2]])
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_empty_batch_gives_empty_tensors(name):
+    # as domain_check gives an empty mask; a slice-constant coordinate and a
+    # constant exponent jet (ideal_gas's N^(-(c+1))) are the two folds
+    model = builtin(name)
+    for B, c in (([0, 0, 1], [1]), ([1, 1, 1], [2]), ([[1, 0, 0], [0, 0, 1]], [1, 1])):
+        sl = make_slice(B, c)
+        r = sl.slice_dim
+        pb = pullback_metric(model, sl, np.empty((0, r)))
+        assert pb.gbar.shape == (0, r, r) and pb.dgbar.shape == (0, r, r, r)
+        assert pb.d2gbar.shape == (0, r, r, r, r)
+        report = curvature(pb)
+        assert report.scalar.shape == report.dual_flatness.shape == (0,)
+        assert report.riemann.shape == (0, r, r, r, r)
+        assert all(v.shape == (0,) for v in report.residuals.values())
+
+
 # -- duality -----------------------------------------------------------
 
 def test_dual_potential_ideal_gas_dn_slice():
