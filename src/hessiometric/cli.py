@@ -1,9 +1,8 @@
 """Batch front-end: invariant checks, curvature scans, Legendre reports.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 model/usage errors,
-3 domain violation.  `check`, `report` and `curvature` evaluate their
-points in blocks of 1024, one batched jet per block; the
-HESSIOMETRIC_THREADS environment variable is accepted and ignored.
+3 domain violation.  Every subcommand evaluates its points in blocks of
+1024, one batched jet per block.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, geometry, models, submanifold
-from .errors import (DegenerateSliceError, DomainError, HessiometricError)
+from .errors import DomainError, HessiometricError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,13 +63,17 @@ def _collect_points(args, dim) -> list:
                         points.append(np.array([float(v) for v in row]))
         except (OSError, ValueError) as e:
             raise _CliError(f"cannot read points file: {e}", EXIT_MODEL_ERROR)
+    return _require_points(points, dim, "--point or --points", "model")
+
+
+def _require_points(points, dim, options, space):
+    """``points``, each of ``dim`` components, checked before any evaluation."""
     if not points:
-        raise _CliError("no points given (use --point or --points)",
-                        EXIT_MODEL_ERROR)
+        raise _CliError(f"no points given (use {options})", EXIT_MODEL_ERROR)
     for p in points:
         if p.shape[0] != dim:
             raise _CliError(f"point {p.tolist()} has {p.shape[0]} components, "
-                            f"model dimension is {dim}", EXIT_MODEL_ERROR)
+                            f"{space} dimension is {dim}", EXIT_MODEL_ERROR)
     return points
 
 
@@ -97,18 +100,21 @@ def _parse_slice(text: str, dim: int) -> submanifold.SliceSpec:
         raise _CliError(str(e), EXIT_MODEL_ERROR)
 
 
+def _blocks(fn, points):
+    """Per-point results of ``fn`` (a list for a batch (P, dim), the result for one
+    point (dim,)), one batched call per block of _BLOCK points.  A block that raises
+    reruns its points one at a time: the first failing point in input order decides."""
+    results = []
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK]
+        try:
+            results += fn(np.array(block))
+        except HessiometricError:
+            results += [fn(p) for p in block]
+    return results
+
+
 # -- check -------------------------------------------------------------
-
-def _metric_fields(model, points):
-    """Metric field of each point of a block, from one batched jet.  If the
-    block raises, its points run one at a time, so that the first failing
-    point in input order decides the message."""
-    try:
-        mf = geometry.hessian_metric(model, np.array(points))
-    except DomainError:
-        return [geometry.hessian_metric(model, p) for p in points]
-    return [mf.at(i) for i in range(len(points))]
-
 
 def _point_checks(mf, tol_rank, tol_check):
     verdict_psd, lam_min = geometry.psd_check(mf, tol_rank)
@@ -150,10 +156,13 @@ def _apply_euler_spread(entries, tol_check):
 
 
 def _run_check(model, points, tol_rank, tol_check, with_timestamp):
+    def fields(p):  # metric field of each point (P, n), or of one point (n,)
+        mf = geometry.hessian_metric(model, p)
+        return mf if p.ndim == 1 else [mf.at(i) for i in range(len(p))]
+
     checks = []
-    for start in range(0, len(points), _BLOCK):  # main() reports a DomainError
-        for mf in _metric_fields(model, points[start:start + _BLOCK]):
-            checks.extend(_point_checks(mf, tol_rank, tol_check))
+    for mf in _blocks(fields, points):
+        checks.extend(_point_checks(mf, tol_rank, tol_check))
     _apply_euler_spread(checks, tol_check)
     report = {"model": model.name, "version": __version__}
     if with_timestamp:
@@ -236,32 +245,24 @@ def cmd_curvature(args) -> int:
 
 # -- legendre ----------------------------------------------------------
 
+def _legendre_entries(model, sl, zs):
+    """JSON entries of slice points (P, r), or the entry of one point (r,),
+    from one pullback jet: its gradient is the dual coordinates."""
+    pb = submanifold.pullback_metric(model, sl, zs)
+    dp = submanifold.dual_potential(pb)
+    columns = {"z": pb.z, "phi_star": dp.value, "phi_star_extensive_form": dp.extensive_form,
+               "extensive_mismatch": dp.mismatch, "dual_coordinates": pb.gradient,
+               "invariance_residual": submanifold.legendre_invariance_residual(pb)}
+    columns = {key: np.asarray(a).tolist() for key, a in columns.items()}
+    return columns if zs.ndim == 1 else [dict(zip(columns, r)) for r in zip(*columns.values())]
+
+
 def cmd_legendre(args) -> int:
     model = _resolve_model(args.model)
     sl = _parse_slice(args.slice, model.dim)
-    points = [_parse_vector(p) for p in args.point or []]
-    if not points:
-        raise _CliError("no points given (use --point)", EXIT_MODEL_ERROR)
-    entries = []
-    for z in points:
-        if z.shape[0] != sl.slice_dim:
-            raise _CliError(f"point {z.tolist()} has {z.shape[0]} components, "
-                            f"slice dimension is {sl.slice_dim}",
-                            EXIT_MODEL_ERROR)
-        try:
-            dp = submanifold.dual_potential(model, sl, z)
-            coords = submanifold.dual_coordinates(model, sl, z)
-            inv_res = submanifold.legendre_invariance_residual(model, sl, z)
-        except DomainError as e:
-            raise _CliError(str(e), EXIT_DOMAIN_ERROR)
-        except DegenerateSliceError as e:
-            raise _CliError(str(e), EXIT_CHECK_FAILED)
-        entries.append({"z": z.tolist(),
-                        "phi_star": dp.value,
-                        "phi_star_extensive_form": dp.extensive_form,
-                        "extensive_mismatch": dp.mismatch,
-                        "dual_coordinates": coords.tolist(),
-                        "invariance_residual": inv_res})
+    points = _require_points([_parse_vector(p) for p in args.point or []],
+                             sl.slice_dim, "--point", "slice")
+    entries = _blocks(lambda z: _legendre_entries(model, sl, z), points)
     out = {"model": model.name, "version": __version__}
     if not args.no_timestamp:
         out["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -276,9 +277,9 @@ def cmd_legendre(args) -> int:
 
 def cmd_report(args) -> int:
     model = _resolve_model(args.model)
-    lattice = [np.array(p) for p in product((0.5, 1.0, 2.0), repeat=model.dim)]
-    points = [p for p in lattice if model.domain_check(p)]
-    if not points:
+    lattice = np.array(list(product((0.5, 1.0, 2.0), repeat=model.dim)))
+    points = lattice[model.domain_check(lattice)]
+    if not len(points):
         raise _CliError("no lattice point lies in the model domain",
                         EXIT_DOMAIN_ERROR)
     report, code = _run_check(model, points, args.tol_rank, args.tol_check,

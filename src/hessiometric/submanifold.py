@@ -6,7 +6,7 @@ coordinates z parametrize the slice.  The pulled-back potential is again
 a Hessian potential in z, which gives the induced metric, its
 Levi-Civita connection and curvature (the Ruppeiner-style scalar), the
 Legendre-dual potential and dual coordinates, and the flatness of the
-dual connection.  A batch of slice points (P, r) is evaluated at once.
+dual connection, each read from the pullback of a point or a batch (P, r).
 """
 
 from __future__ import annotations
@@ -316,23 +316,19 @@ class DualPotential:
     mismatch: bool
 
 
-def dual_potential(model: PotentialModel, sl: SliceSpec, z,
-                   mismatch_tol: float = 1e-8) -> DualPotential:
-    """Legendre-dual potential of the slice at z, computed both from the
-    transform of the pulled-back potential and from the extensivity
-    shortcut.  A mismatch between the two flags a non-extensive model."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = sl.embed(z)
-    model.require_domain(x)
-    jet = _pullback_jet(model, sl, x, order=1)
-    value = float(z @ jet.gradient() - jet.value)
-
-    ambient = model.potential_jet(x, order=1)
-    grad_x = ambient.gradient()
-    r = sl.slice_dim
+def dual_potential(pb: PullbackData, mismatch_tol: float = 1e-8) -> DualPotential:
+    """Legendre-dual potential of the slice at a slice point (arrays for a batch),
+    from the transform of the pulled-back potential and from the extensivity
+    shortcut; a mismatch between the two flags a non-extensive model."""
+    sl, shape = pb.slice, np.shape(pb.potential)
+    z, grad, grad_x = (np.ascontiguousarray(np.atleast_2d(a)) for a in (
+        pb.z, pb.gradient, pb.model.potential_jet(pb.x, order=1).gradient()))
     # derivative of the potential along the trailing adapted coordinates
-    trailing = sl.chart_inv[:, r:].T @ grad_x
-    extensive_form = float(-(sl.constants @ trailing))
+    trailing = sl.chart_inv[:, sl.slice_dim:].T
+    # each point's sums round as for that point alone (a batched einsum
+    # or matmul sums in another order)
+    value = _item(np.reshape([a @ b for a, b in zip(z, grad)], shape) - pb.potential)
+    extensive_form = _item(np.reshape([-(sl.constants @ (trailing @ g)) for g in grad_x], shape))
     mismatch = abs(value - extensive_form) > mismatch_tol * (1.0 + abs(value))
     return DualPotential(value=value, extensive_form=extensive_form,
                          mismatch=mismatch)
@@ -346,30 +342,28 @@ def dual_coordinates(model: PotentialModel, sl: SliceSpec, z) -> np.ndarray:
     return _pullback_jet(model, sl, x, order=1).gradient()
 
 
-def legendre_invariance_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
+def legendre_invariance_residual(pb: PullbackData) -> float:
     """Check that the induced metric is the Hessian of the dual
-    potential in the dual chart.
+    potential in the dual chart (per point for a batch).
 
     The Jacobian of z -> dual coordinates is taken by central
-    differences (relative step 1e-4); the dual-chart Hessian of the dual
+    differences (relative step 1e-4), one :func:`dual_coordinates` walk
+    over the stencils of every point; the dual-chart Hessian of the dual
     potential and the transformed metric are compared entrywise.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    pb = pullback_metric(model, sl, z)
-    r = sl.slice_dim
+    z, r = pb.z, pb.slice.slice_dim
     h = 1e-4 * (1.0 + np.abs(z))
-    # 5-point stencil along each axis, its 4r points in one batch:
-    # truncation well below the comparison tolerances
-    stencil = z + np.multiply.outer([2, 1, -1, -2], np.diag(h))
-    d = dual_coordinates(model, sl, stencil.reshape(-1, r)).reshape(4, r, r)
-    jac = ((-d[0] + 8 * d[1] - 8 * d[2] + d[3]) / (12 * h[:, None])).T
-    if np.linalg.cond(jac) > 1e12:
-        raise SingularDualChartError(
-            f"dual-coordinate Jacobian is singular at z={z.tolist()}")
+    # 5-point stencil along each axis, its 4r points of every z in one
+    # batch: truncation well below the comparison tolerances
+    stencil = z[..., None, :] + np.multiply.outer([2, 1, -1, -2], h[..., None, :] * np.eye(r))
+    d = dual_coordinates(pb.model, pb.slice, stencil.reshape(-1, r)).reshape(stencil.shape)
+    jac = ((-d[0] + 8 * d[1] - 8 * d[2] + d[3]) / (12 * h[..., :, None])).swapaxes(-1, -2)
+    singular = np.linalg.cond(jac) > 1e12
+    if singular.any():
+        raise SingularDualChartError("dual-coordinate Jacobian is singular at "
+                                     f"z={np.atleast_2d(z)[np.atleast_1d(singular)][0].tolist()}")
+    # gradient of the dual potential in the dual chart is z itself, so its
+    # Hessian is jac_inv, the Jacobian of z as a function of the dual chart
     jac_inv = np.linalg.inv(jac)
-    # gradient of the dual potential in the dual chart is z itself, so
-    # its Hessian is the Jacobian of z as a function of the dual chart
-    hessian_dual = jac_inv
-    metric_dual_chart = jac_inv.T @ pb.gbar @ jac_inv
-    return float(np.max(np.abs(hessian_dual - metric_dual_chart))
-                 / (np.max(np.abs(hessian_dual)) + _EPS))
+    metric_dual_chart = jac_inv.swapaxes(-1, -2) @ pb.gbar @ jac_inv
+    return _item(_amax(jac_inv - metric_dual_chart, 2) / (_amax(jac_inv, 2) + _EPS))

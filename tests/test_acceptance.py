@@ -196,16 +196,16 @@ def test_criterion_08_dual_structure():
     probes = [np.array([1.0, 1.0]), np.array([math.e, 1.0])]
     probes += list(rng.uniform(0.6, 1.8, size=(10, 2)))
     for z in probes:
-        dp = dual_potential(model, sl, z)
+        dp = dual_potential(pullback_metric(model, sl, z))
         expected = math.log(z[1] * z[0] ** c) - (c + 1)
         ok = ok and abs(dp.value - expected) <= 1e-10
         ok = ok and not dp.mismatch
     # (c) the transform built from dual coordinates is an isometry
     for z in ([1.0, 1.0], [1.3, 0.8]):
-        ok = ok and legendre_invariance_residual(model, sl, z) <= 1e-6
+        ok = ok and legendre_invariance_residual(pullback_metric(model, sl, z)) <= 1e-6
     pm_slice = make_slice([0, 0, 1], [1])
-    ok = ok and legendre_invariance_residual(builtin("paramagnet"),
-                                             pm_slice, [1.0, 0.2]) <= 1e-6
+    ok = ok and legendre_invariance_residual(pullback_metric(
+        builtin("paramagnet"), pm_slice, [1.0, 0.2])) <= 1e-6
     _report(8, "dual potential and flat dual connection", ok)
 
 

@@ -181,6 +181,26 @@ def test_check_first_failing_point_decides_the_error(points, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("points, code, message", [
+    (["-1,1", "1e308,1"], cli.EXIT_DOMAIN_ERROR,
+     "point [-1.0, 1.0, 1.0] violates the domain of model 'ideal_gas'"),
+    (["1e308,1", "-1,1"], cli.EXIT_DOMAIN_ERROR,
+     "derivatives of pow_const at 1e+308 leave the float range"),
+    (["1,1", "1"], cli.EXIT_MODEL_ERROR,
+     "point [1.0] has 1 components, slice dimension is 2"),
+    # every length is checked before any evaluation, as in check
+    (["-1,1", "1"], cli.EXIT_MODEL_ERROR,
+     "point [1.0] has 1 components, slice dimension is 2"),
+    # the order-4 pullback walks first and names its failure, as curvature
+    # does at this point
+    (["1,1", "1e-300,1"], cli.EXIT_DOMAIN_ERROR,
+     "derivatives of pow_const at 1e-300 leave the float range")])
+def test_legendre_first_failing_point_decides_the_error(points, code, message, capsys):
+    assert run_cli(["legendre", "ideal_gas", "--slice", "0,0,1=1", "--no-timestamp",
+                    *(f"--point={p}" for p in points)], capsys) == \
+        (code, "", f"error: {message}\n")
+
+
 def test_non_finite_point_is_outside_every_domain(tmp_path, capsys):
     # a model without domain constraints would otherwise print Infinity
     model = tmp_path / "nodomain.json"
@@ -315,17 +335,6 @@ def test_curvature_in_domain_evaluation_failure_is_domain_error(tmp_path,
     assert out == "" and err.startswith("error: ")
 
 
-def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
-    argv = ["curvature", "kerr_newman_radiant", "--slice", "0,0,1=0.25",
-            "--grid", "1:2:3,0.1:0.3:3", "--no-timestamp"]
-    monkeypatch.delenv("HESSIOMETRIC_THREADS", raising=False)
-    _, serial, _ = run_cli(argv, capsys)
-    monkeypatch.setenv("HESSIOMETRIC_THREADS", "4")
-    _, threaded, _ = run_cli(argv, capsys)
-    assert serial == threaded == \
-        (GOLDEN / "curvature_kn_radiant.csv").read_text()
-
-
 def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
     model = models.builtin("kerr_newman_radiant")
     sl = submanifold.make_slice([0, 0, 1], [0.25])
@@ -442,6 +451,26 @@ def test_report_evaluates_the_potential_once(monkeypatch, capsys):
     assert out == (GOLDEN / "report_ideal_gas.txt").read_text()
     assert counts["jet_order_4"] == 1 and counts["hessian_metric"] == 1
     assert counts["walk_order_1"] == 0
+
+
+@pytest.mark.parametrize("block, blocks", [(cli._BLOCK, 1), (7, 3)])
+def test_legendre_reads_each_point_from_one_pullback_jet(block, blocks,
+                                                         monkeypatch, capsys):
+    rng = np.random.default_rng(20)
+    points = [f"--point={u!r},{v!r}" for u, v in rng.uniform(0.5, 2.5, (20, 2)).tolist()]
+    counts = _count_ambient_work(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    code, out, _ = run_cli(["legendre", "ideal_gas", "--slice", "0,0,1=1",
+                            "--no-timestamp", *points], capsys)
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["points"]) == 20
+    # per block: one order-4 pullback jet, whose gradient is the dual
+    # coordinates, then one ambient order-1 walk for the extensive form
+    # and one over the stencils of the Jacobian; the jet and the stencils
+    # each check the domain once
+    assert counts["jet_order_4"] == blocks and counts["hessian_metric"] == 0
+    assert counts["jet_order_1"] == counts["walk_order_1"] == 2 * blocks
+    assert counts["domain_check"] == 2 * blocks
 
 
 def test_values_round_trip_full_precision(capsys):

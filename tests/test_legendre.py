@@ -1,0 +1,43 @@
+"""The Legendre functions on a batched pullback: each point of a batch gives
+the single-point result bit for bit."""
+
+import numpy as np
+import pytest
+
+from helpers import sample_points
+from hessiometric import BUILTIN_NAMES, builtin
+from hessiometric.submanifold import (dual_potential, legendre_invariance_residual,
+                                      make_slice, pullback_metric)
+
+SLICES = ([[0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]],          # axis-aligned
+          [[1, 1, 0]], [[0.3, 0.5, 1]], [[1, 2, -3]],     # oblique
+          [[1, 0, 0], [0, 1, 1]])                         # two rows
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batch_gives_each_point_alone(name):
+    # each point's r-term sums z.grad and c.(T^-1 grad) round as for that
+    # point alone; a batched einsum or matmul changes the last bits of some
+    model, rng = builtin(name), np.random.default_rng(29)
+    for B in SLICES:
+        x0 = sample_points(name, 1, rng)[0]
+        sl = make_slice(B, np.array(B, dtype=float) @ x0)
+        xs = x0 + 0.4 * (sample_points(name, 40, rng) - x0)
+        zs = np.array([sl.project(x) for x in xs])
+        zs = zs[model.domain_check(sl.embed(zs))]
+        assert len(zs) >= 20
+        pb = pullback_metric(model, sl, zs)
+        dp, residual = dual_potential(pb), legendre_invariance_residual(pb)
+        assert dp.mismatch.dtype == bool and residual.shape == (len(zs),)
+        trailing = sl.chart_inv[:, sl.slice_dim:].T
+        for i, z in enumerate(zs):
+            one = pullback_metric(model, sl, z)
+            dp_one = dual_potential(one)
+            assert type(dp_one.mismatch) is bool
+            grad_x = model.potential_jet(one.x, order=1).gradient()
+            assert dp_one.value == float(z @ one.gradient - one.potential)
+            assert dp_one.extensive_form == float(-(sl.constants @ (trailing @ grad_x)))
+            assert (dp_one.value, dp_one.extensive_form, dp_one.mismatch) == \
+                (dp.value[i], dp.extensive_form[i], dp.mismatch[i])
+            assert legendre_invariance_residual(one) == residual[i]
+            assert one.gradient.tolist() == pb.gradient[i].tolist()

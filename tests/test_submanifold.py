@@ -499,11 +499,11 @@ def test_empty_batch_gives_empty_tensors(name):
 def test_dual_potential_ideal_gas_dn_slice():
     model = builtin("ideal_gas")
     sl = make_slice([0, 0, 1], [1])
-    dp = dual_potential(model, sl, [1, 1])
+    dp = dual_potential(pullback_metric(model, sl, [1, 1]))
     assert dp.value == pytest.approx(-2.5, abs=1e-12)
     assert dp.extensive_form == pytest.approx(-2.5, abs=1e-12)
     assert not dp.mismatch
-    dp_e = dual_potential(model, sl, [math.e, 1])
+    dp_e = dual_potential(pullback_metric(model, sl, [math.e, 1]))
     assert dp_e.value == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -514,7 +514,7 @@ def test_dual_potential_closed_form_random_points():
     c = 1.5
     for _ in range(10):
         U, V = rng.uniform(0.5, 2.0, size=2)
-        dp = dual_potential(model, sl, [U, V])
+        dp = dual_potential(pullback_metric(model, sl, [U, V]))
         assert dp.value == pytest.approx(math.log(V * U**c) - (c + 1),
                                          abs=1e-10)
 
@@ -522,7 +522,7 @@ def test_dual_potential_closed_form_random_points():
 def test_dual_potential_mismatch_for_non_extensive():
     model = builtin("kerr_newman_naive")
     sl = make_slice([0, 0, 1], [0.2])
-    dp = dual_potential(model, sl, [1.5, 0.4])
+    dp = dual_potential(pullback_metric(model, sl, [1.5, 0.4]))
     assert dp.mismatch
 
 
@@ -566,9 +566,9 @@ def test_dual_flatness_broken_fixture():
 def test_legendre_invariance():
     model = builtin("ideal_gas")
     sl = make_slice([0, 0, 1], [1])
-    assert legendre_invariance_residual(model, sl, [1, 1]) <= 1e-6
+    assert legendre_invariance_residual(pullback_metric(model, sl, [1, 1])) <= 1e-6
     pm = builtin("paramagnet")
-    assert legendre_invariance_residual(pm, make_slice([0, 0, 1], [1]),
-                                        [1, 0.2]) <= 1e-6
+    assert legendre_invariance_residual(pullback_metric(
+        pm, make_slice([0, 0, 1], [1]), [1, 0.2])) <= 1e-6
     one_dim = make_slice([[1, 0, 0], [0, 1, 0]], [1, 1])
-    assert legendre_invariance_residual(model, one_dim, [1.2]) <= 1e-8
+    assert legendre_invariance_residual(pullback_metric(model, one_dim, [1.2])) <= 1e-8
