@@ -310,18 +310,19 @@ def _build_parser():
                     "curvature for potential models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tolerances=False):  # only check and report read the tolerances
         p.add_argument("model", help="model JSON file or builtin name "
                        f"({', '.join(models.BUILTIN_NAMES)})")
-        p.add_argument("--tol-rank", type=float, default=1e-9,
-                       help="relative spectral tolerance for kernel/PSD")
-        p.add_argument("--tol-check", type=float, default=1e-8,
-                       help="residual tolerance for pass/fail verdicts")
+        if tolerances:
+            p.add_argument("--tol-rank", type=float, default=1e-9,
+                           help="relative spectral tolerance for kernel/PSD")
+            p.add_argument("--tol-check", type=float, default=1e-8,
+                           help="residual tolerance for pass/fail verdicts")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header field")
 
     p_check = sub.add_parser("check", help="run pointwise invariant checks")
-    common(p_check)
+    common(p_check, tolerances=True)
     p_check.add_argument("--point", action="append",
                          help="comma-separated coordinates (repeatable)")
     p_check.add_argument("--points", help="CSV file, one point per row")
@@ -348,7 +349,7 @@ def _build_parser():
 
     p_rep = sub.add_parser("report", help="aggregate checks over a default "
                            "domain lattice")
-    common(p_rep)
+    common(p_rep, tolerances=True)
     p_rep.set_defaults(func=cmd_report)
     return parser
 

@@ -1,7 +1,7 @@
 """Pointwise structure of the degenerate Hessian metric.
 
 Everything here is a pure function of (model, point): the metric and its
-coordinate derivatives from one order-4 jet, the kernel of the induced
+first coordinate derivatives from one order-3 jet, the kernel of the induced
 flat map, the Euler defect and Gibbs-Duhem residual that characterize
 extensivity, the Codazzi symmetry residual (its vanishing also makes the
 kernel distribution involutive), and positive semi-definiteness.
@@ -22,24 +22,22 @@ _EPS = 1e-300
 
 @dataclass
 class MetricField:
-    """Metric g_ij = d_i d_j Phi at a point, with its first and second
-    coordinate derivatives (index convention: dg[k, i, j] = d_k g_ij,
-    d2g[l, k, i, j] = d_l d_k g_ij) and the potential's value and gradient
-    from the same jet (a leading batch axis on each for a batch)."""
+    """Metric g_ij = d_i d_j Phi at a point, its derivatives dg[k, i, j] = d_k g_ij,
+    and the potential's value and gradient from the same jet (a leading batch
+    axis on each for a batch)."""
 
     point: np.ndarray
     g: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
     potential: float
     gradient: np.ndarray
 
     def at(self, i: int) -> "MetricField":
         """Point ``i`` of a batch, each array a C-contiguous copy: every
         diagnostic then rounds as for that point alone."""
-        point, g, dg, d2g, gradient = (np.ascontiguousarray(a[i]) for a in (
-            self.point, self.g, self.dg, self.d2g, self.gradient))
-        return MetricField(point, g, dg, d2g, float(self.potential[i]), gradient)
+        point, g, dg, gradient = (np.ascontiguousarray(a[i]) for a in (
+            self.point, self.g, self.dg, self.gradient))
+        return MetricField(point, g, dg, float(self.potential[i]), gradient)
 
     @property
     def euler_defect(self) -> float:
@@ -55,20 +53,18 @@ class KernelBasis:
 
 
 def hessian_metric(model: PotentialModel, point) -> MetricField:
-    """Assemble the metric field from a single order-4 jet of the potential
-    at a point (n,) or a batch (P, n), each point's tensors bit for bit.  A
-    batch keeps its axis innermost in memory (``g`` has strides (8, 8Pn, 8P)):
-    :meth:`MetricField.at` reads one point.  Raises DomainError outside the
-    model domain."""
+    """Assemble the metric field from a single order-3 jet of the potential at
+    a point (n,) or a batch (P, n), each point's tensors bit for bit, and equal
+    to the lower slots of an order-4 jet (no diagnostic reads a fourth
+    derivative).  A batch keeps its axis innermost in memory (``g`` has strides
+    (8, 8Pn, 8P)): :meth:`MetricField.at` reads one point.  Raises DomainError
+    outside the model domain."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     model.require_domain(point)
-    jet = model.potential_jet(point, order=4)
-    g = jet.hessian()
-    third = jet.third_tensor()
-    fourth = jet.fourth_tensor()
-    require_finite("metric field", g, third, fourth)
-    return MetricField(point=point, g=g, dg=third, d2g=fourth,
-                       potential=jet.value, gradient=jet.gradient())
+    jet = model.potential_jet(point, order=3)
+    g, dg = jet.hessian(), jet.third_tensor()
+    require_finite("metric field", g, dg)
+    return MetricField(point=point, g=g, dg=dg, potential=jet.value, gradient=jet.gradient())
 
 
 def require_finite(what: str, *arrays) -> None:
@@ -129,12 +125,13 @@ def _defect(point, potential, gradient) -> float:
 
 
 def gibbs_duhem_residual(mf: MetricField) -> float:
-    """Normalized size of g applied to the radiant vector.  Zero (to
-    roundoff) exactly when the radiant direction is null."""
+    """Normalized size of g applied to the radiant vector.  Zero (to roundoff)
+    exactly when the radiant direction is null; DomainError where it overflows."""
     rho = radiant_field(mf.point)
-    num = np.linalg.norm(mf.g @ rho)
-    den = np.linalg.norm(mf.g) * np.linalg.norm(rho) + _EPS
-    return float(num / den)
+    residual = np.linalg.norm(mf.g @ rho) / (
+        np.linalg.norm(mf.g) * np.linalg.norm(rho) + _EPS)
+    require_finite("Gibbs-Duhem residual", residual)
+    return float(residual)
 
 
 def codazzi_residual(mf: MetricField) -> float:

@@ -219,7 +219,8 @@ class Jet:
 
     def compose(self, derivs):
         """Univariate composition f(self), given f(a0), f'(a0), ...,
-        f^(order)(a0) at a0 = self.value (floats or (P,) columns for a batch).
+        f^(order)(a0) at a0 = self.value (floats or (P,) columns for a batch);
+        a shorter list ends where every further derivative is exactly 0.
 
         Implements Faa di Bruno through the truncation order by
         expanding f around a0 in powers of the non-constant part h; h^k has
@@ -231,7 +232,7 @@ class Jet:
         out = np.zeros_like(h)
         out[0] = derivs[0]
         powers = _space(self.dim, self.order)[5]
-        for k in range(1, self.order + 1):
+        for k in range(1, len(derivs)):
             power = h if k == 1 else _product(powers[k - 2], power, h)
             out = out + power * (derivs[k] / math.factorial(k))
         return _jet(self.dim, self.order, out)
@@ -300,7 +301,7 @@ def constant_value(fn, v: float, order: int, *args) -> float:
     finite)."""
     derivs = _derivatives(fn.table, v, order, *args)
     value = derivs[0]
-    for k in range(1, order + 1):
+    for k in range(1, len(derivs)):
         value = value + 0.0 * (derivs[k] / math.factorial(k))
     return value
 
@@ -340,7 +341,8 @@ def pow_const(v, order, lib, p):
     """a**p for a real constant exponent.
 
     Integer exponents work for any nonzero base, non-negative ones also
-    at zero; fractional exponents require a positive base value.
+    at zero; fractional exponents require a positive base value.  The
+    derivative list of a non-negative integer power ends at its degree.
     """
     p = float(p)
     is_int = p.is_integer()
@@ -352,6 +354,7 @@ def pow_const(v, order, lib, p):
     fac = 1.0
     for k in range(1, order + 1):
         fac *= p - (k - 1)
-        # beyond the degree of an integer power the derivative is exactly 0
-        derivs.append(fac * lib.pow(v, p - k) if fac else 0.0)
+        if not fac:  # beyond the degree every derivative is exactly 0
+            break
+        derivs.append(fac * lib.pow(v, p - k))
     return derivs

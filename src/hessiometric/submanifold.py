@@ -166,9 +166,7 @@ def _pullback(model: PotentialModel, sl: SliceSpec, z, x) -> PullbackData:
     """:func:`pullback_metric` at points x = embed(z) known to be inside
     the domain (no domain check)."""
     jet = _pullback_jet(model, sl, x, order=4)
-    gbar = jet.hessian()
-    dgbar = jet.third_tensor()
-    d2gbar = jet.fourth_tensor()
+    gbar, dgbar, d2gbar = jet.hessian(), jet.third_tensor(), jet.fourth_tensor()
     require_finite("pulled-back metric", gbar, dgbar, d2gbar)
     return PullbackData(slice=sl, z=z, x=x,
                         potential=jet.value, gradient=jet.gradient(),
@@ -198,8 +196,9 @@ class Connection:
 
 
 def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
-    """Connection of the induced metric, analytic from the third and fourth
-    derivatives of the potential.  Raises DegenerateSliceError when the
+    """Connection of the induced metric g = d^2 phi: its lowered symbols are half
+    phi's third derivatives, their derivatives half the fourth.  Raises
+    DegenerateSliceError where lambda_min <= tol_rel * lambda_max, i.e. where the
     slice is not transversal to the kernel (a batch flags ``singular``)."""
     lam = np.linalg.eigvalsh(pb.gbar)
     singular = lam[..., 0] <= tol_rel * _amax(lam, 1)
@@ -208,11 +207,10 @@ def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
             f"pulled-back metric is singular at z={pb.z.tolist()} "
             f"(eigenvalues {lam.tolist()})")
     ginv = np.linalg.inv(np.where(singular[..., None, None], np.eye(len(lam.T)), pb.gbar))
-    d, d2 = pb.dgbar, pb.d2gbar
-    low = 0.5 * (np.einsum("...abc->...cab", d) + np.einsum("...bac->...cab", d) - d)
-    dlow = 0.5 * (np.einsum("...eabd->...edab", d2)
-                  + np.einsum("...ebad->...edab", d2) - d2)
-    dginv = -np.einsum("...ca,...eab,...bd->...ecd", ginv, d, ginv)
+    # each entry is one jet slot, so this equals the general formula's (t + t) - t
+    # for finite |t| <= DBL_MAX/2 up to the sign of zero, which the contractions drop
+    low, dlow = 0.5 * pb.dgbar, 0.5 * pb.d2gbar
+    dginv = -np.einsum("...ca,...eab,...bd->...ecd", ginv, pb.dgbar, ginv)
     gamma = np.einsum("...cd,...dab->...cab", ginv, low)
     dgamma = (np.einsum("...ecd,...dab->...ecab", dginv, low)
               + np.einsum("...cd,...edab->...ecab", ginv, dlow))
@@ -232,10 +230,11 @@ def christoffel_derivatives(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarr
 
 def _riemann_parts(gamma: np.ndarray, dgamma: np.ndarray):
     """Curvature tensor R[a, b, c, d] = R^a_bcd = (D + B1) - B2 of a connection
-    from its coefficients and their coordinate derivatives, as (D, B1, B2)."""
+    from its coefficients and their coordinate derivatives, as (D, B1, B2).
+    B2[a, b, c, d] = Gamma^a_de Gamma^e_cb is B1[a, b, d, c], the same products."""
+    b1 = np.einsum("...ace,...edb->...abcd", gamma, gamma)
     return (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma),
-            np.einsum("...ace,...edb->...abcd", gamma, gamma),
-            np.einsum("...ade,...ecb->...abcd", gamma, gamma))
+            b1, b1.swapaxes(-1, -2))
 
 
 def _amax(a: np.ndarray, k: int):

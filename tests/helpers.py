@@ -1,17 +1,22 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately computed without the jet engine: plain
-float math, finite differences, and hand-transcribed closed forms.  The
-involutivity oracle takes the kernel fields from the metric and their Lie
-brackets by finite differences.
+float math, finite differences, hand-transcribed closed forms, and a
+40-digit sympy/mpmath curvature reference.  The general Levi-Civita and
+Riemann formulas take the package's jet tensors as input and are the
+references its shortcuts must match bit for bit.  The involutivity oracle
+takes the kernel fields from the metric and their Lie brackets by finite
+differences.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
+import pytest
 
 from hessiometric import PotentialModel, load_model
 from hessiometric.geometry import hessian_metric, kernel
@@ -212,6 +217,64 @@ def fd_scalar_curvature(gbar_fn, z, h=1e-3):
                - np.einsum("ade,ecb->abcd", gamma, gamma))
     ricci = np.einsum("abad->bd", riemann)
     return float(np.einsum("bd,bd->", np.linalg.inv(gbar_fn(z)), ricci))
+
+
+# -- the general formulas the connection and curvature shortcut ---------
+
+def connection_reference(pb, tol_rel=1e-9):
+    """(gamma, dgamma) of the induced metric by the general Levi-Civita
+    formula: lowered symbols from three index permutations of d_k gbar_ab."""
+    lam = np.linalg.eigvalsh(pb.gbar)
+    singular = lam[..., 0] <= tol_rel * np.maximum.reduce(np.abs(lam), axis=-1)
+    ginv = np.linalg.inv(np.where(singular[..., None, None], np.eye(len(lam.T)), pb.gbar))
+    d, d2 = pb.dgbar, pb.d2gbar
+    low = 0.5 * (np.einsum("...abc->...cab", d) + np.einsum("...bac->...cab", d) - d)
+    dlow = 0.5 * (np.einsum("...eabd->...edab", d2)
+                  + np.einsum("...ebad->...edab", d2) - d2)
+    dginv = -np.einsum("...ca,...eab,...bd->...ecd", ginv, d, ginv)
+    gamma = np.einsum("...cd,...dab->...cab", ginv, low)
+    dgamma = (np.einsum("...ecd,...dab->...ecab", dginv, low)
+              + np.einsum("...cd,...edab->...ecab", ginv, dlow))
+    return gamma, dgamma
+
+
+def riemann_parts_reference(gamma, dgamma):
+    """(D, B1, B2) of R^a_bcd = D + B1 - B2, each quadratic part its own einsum."""
+    return (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma),
+            np.einsum("...ace,...edb->...abcd", gamma, gamma),
+            np.einsum("...ade,...ecb->...abcd", gamma, gamma))
+
+
+# -- 40-digit scalar curvature of the KN constant-J slice ----------------
+
+@lru_cache(maxsize=None)
+def _kn_jslice_third_derivatives():
+    sp = pytest.importorskip("sympy")
+    u, q, j = sp.symbols("u q j")
+    phi = -sp.Rational(1, 4) * (u + sp.sqrt(u**2 - q * u - j**2) - q / 2)
+    exprs = [sp.diff(phi, u, 2 - a, q, a) for a in range(3)]
+    exprs += [sp.diff(phi, u, 3 - a, q, a) for a in range(4)]
+    return sp.lambdify((u, q, j), exprs, "mpmath")
+
+
+def kn_jslice_scalar_reference(u, q, j):
+    """Scalar curvature of kerr_newman_radiant on {j = const} at the float
+    point (u, q), to about 40 digits.  For a Hessian metric g = d^2 phi,
+    R^a_bcd = -1/4 g^af g^eh (phi_fce phi_hdb - phi_fde phi_hcb) (Shima 2007),
+    so the scalar g^bd R^a_bad needs third derivatives only."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        values = _kn_jslice_third_derivatives()(*map(mpmath.mpf, (u, q, j)))
+        g = mpmath.matrix([[values[0], values[1]], [values[1], values[2]]])
+        gi = g ** -1
+        r = range(2)
+
+        def phi3(*axes):
+            return values[3 + axes.count(1)]
+        scalar = -sum(gi[b, dd] * gi[a, f] * gi[e, h]
+                      * (phi3(f, a, e) * phi3(h, dd, b) - phi3(f, dd, e) * phi3(h, a, b))
+                      for a, b, dd, e, f, h in product(r, repeat=6)) / 4
+        return float(scalar)
 
 
 # -- involutivity of the kernel distribution ---------------------------

@@ -56,6 +56,20 @@ def test_report_golden(capsys):
     assert out == (GOLDEN / "report_ideal_gas.txt").read_text()
 
 
+# -- tolerances --------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "ideal_gas", "--slice", "0,0,1=1", "--grid", "1:2:2,1:2:2", flag, "1e-8"]
+    for flag in ("--tol-rank", "--tol-check")] + [
+    ["legendre", "ideal_gas", "--slice", "0,0,1=1", "--point", "1,1", flag, "1e-9"]
+    for flag in ("--tol-rank", "--tol-check")])
+def test_a_tolerance_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_MODEL_ERROR
+    assert "unrecognized arguments: --tol-" in capsys.readouterr().err
+
+
 def test_no_timestamp_reruns_are_byte_identical(capsys):
     argv = ["check", "paramagnet", "--no-timestamp", "--point", "1,0.2,1"]
     _, first, _ = run_cli(argv, capsys)
@@ -139,6 +153,23 @@ def test_extreme_points_are_domain_errors(point, capsys):
     assert code == cli.EXIT_DOMAIN_ERROR
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("point", ["1e20,1e100,1e-20", "1,1e150,1"])
+def test_gibbs_duhem_overflow_is_a_domain_error(point, capsys):
+    # g and dg are finite, but the norms of g and of g applied to the radiant
+    # vector leave the float range: the residual would print as NaN
+    code, out, err = run_cli(["check", "paramagnet", "--no-timestamp",
+                              "--point", point], capsys)
+    assert (code, out, err) == (cli.EXIT_DOMAIN_ERROR, "",
+                                "error: Gibbs-Duhem residual is not finite\n")
+
+
+def test_gibbs_duhem_residual_is_zero_where_only_its_denominator_overflows(capsys):
+    code, out, _ = run_cli(["check", "ideal_gas", "--no-timestamp",
+                            "--point", "1e200,0.5,1e100"], capsys)
+    gd = [c for c in json.loads(out)["checks"] if c["check"] == "gibbs_duhem"]
+    assert code == cli.EXIT_OK and gd[0]["residual"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,8 +469,9 @@ def test_check_evaluates_the_potential_once_per_block(count, block, blocks,
     assert code == cli.EXIT_OK
     assert len(json.loads(out)["checks"]) == 5 * count
     # the Euler defect reads the potential's value and gradient from the
-    # same order-4 jet: no order-1 walk, and one domain check per block
-    assert counts["jet_order_4"] == blocks and counts["hessian_metric"] == blocks
+    # same order-3 jet: no order-1 walk, and one domain check per block
+    assert counts["jet_order_3"] == blocks and counts["hessian_metric"] == blocks
+    assert counts["jet_order_4"] == 0
     assert counts["domain_check"] == blocks
     assert counts["walk_order_1"] == 0 and counts["jet_order_1"] == 0
 
@@ -449,8 +481,8 @@ def test_report_evaluates_the_potential_once(monkeypatch, capsys):
     code, out, _ = run_cli(["report", "ideal_gas"], capsys)
     assert code == cli.EXIT_OK
     assert out == (GOLDEN / "report_ideal_gas.txt").read_text()
-    assert counts["jet_order_4"] == 1 and counts["hessian_metric"] == 1
-    assert counts["walk_order_1"] == 0
+    assert counts["jet_order_3"] == 1 and counts["hessian_metric"] == 1
+    assert counts["jet_order_4"] == counts["walk_order_1"] == 0
 
 
 @pytest.mark.parametrize("block, blocks", [(cli._BLOCK, 1), (7, 3)])

@@ -64,7 +64,6 @@ def test_metric_matches_closed_form_at_random_points():
 def test_empty_batch_gives_empty_tensors():
     mf = hessian_metric(builtin("ideal_gas"), np.empty((0, 3)))
     assert mf.g.shape == (0, 3, 3) and mf.dg.shape == (0, 3, 3, 3)
-    assert mf.d2g.shape == (0, 3, 3, 3, 3)
     assert mf.potential.shape == (0,) and mf.gradient.shape == (0, 3)
 
 
@@ -80,7 +79,7 @@ def test_batched_metric_field_diagnostics_match_single_points(name):
     def bits(mf):
         verdict, lam_min = psd_check(mf)
         kb = kernel(mf)
-        values = [mf.g, mf.dg, mf.d2g, mf.potential, mf.gradient, lam_min,
+        values = [mf.g, mf.dg, mf.potential, mf.gradient, lam_min,
                   kb.basis, kb.eigenvalues, gibbs_duhem_residual(mf),
                   codazzi_residual(mf), mf.euler_defect]
         return [verdict, kb.rank] + [np.asarray(v, dtype=float).tobytes() for v in values]
@@ -89,6 +88,33 @@ def test_batched_metric_field_diagnostics_match_single_points(name):
         mf = hessian_metric(model, point)
         assert bits(batch.at(i)) == bits(mf)
         assert mf.euler_defect.hex() == euler_defect(model, point).hex()
+
+
+# near the domain boundary, at extreme scales and at exact zeros, each with
+# a finite order-4 jet
+EDGE_POINTS = {
+    "ideal_gas": [[1e-20, 1, 1], [1e20, 1, 1], [1, 1e-20, 1e-20], [1e10, 1e-10, 1]],
+    "paramagnet": [[1, 0, 1], [2, -0.0, 1], [1e-50, 0.5, 1], [1, 1e50, 1e30]],
+    "kerr_newman_radiant": [[0.5, 0.375 - 1e-12, 0.25], [1, 0, 0], [1, 0.999999, 0],
+                            [1e-30, 1e-31, 1e-31]],
+    "kerr_newman_naive": [[1, 0.999999, 0], [1, 0, 0.999999], [1e10, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_metric_field_equals_the_lower_slots_of_an_order_four_jet(name):
+    # hessian_metric walks an order-3 jet: its slots round as an order-4 jet's
+    model = builtin(name)
+    points = np.vstack([sample_points(name, 20, np.random.default_rng(43)),
+                        EDGE_POINTS[name]])
+    assert model.domain_check(points).all()
+    for p in [points] + list(points):
+        mf = hessian_metric(model, p)
+        jet = model.potential_jet(p, order=4)
+        for ours, full in ((mf.potential, jet.value), (mf.gradient, jet.gradient()),
+                           (mf.g, jet.hessian()), (mf.dg, jet.third_tensor())):
+            assert np.array_equal(ours, full)
+            assert np.array_equal(np.signbit(ours), np.signbit(full))
 
 
 def test_metric_domain_violation():
@@ -114,7 +140,7 @@ def test_kernel_paramagnet():
 
 def test_kernel_zero_matrix():
     mf = MetricField(point=np.zeros(3), g=np.zeros((3, 3)),
-                     dg=np.zeros((3, 3, 3)), d2g=np.zeros((3, 3, 3, 3)),
+                     dg=np.zeros((3, 3, 3)),
                      potential=0.0, gradient=np.zeros(3))
     kb = kernel(mf)
     assert kb.rank == 0

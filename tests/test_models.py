@@ -204,4 +204,4 @@ def test_single_point_metric_makes_no_order_one_walk(monkeypatch):
         model = builtin(name)
         orders.clear()
         geometry.hessian_metric(model, sample_points(name, 1, np.random.default_rng(3))[0])
-        assert orders == {0: len(model.domain), 4: 1}
+        assert orders == {0: len(model.domain), 3: 1}

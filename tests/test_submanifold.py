@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -8,18 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import (fd_scalar_curvature, metric_ideal_gas,
-                     metric_kn_radiant_jslice, sample_points)
+from helpers import (connection_reference, fd_scalar_curvature,
+                     kn_jslice_scalar_reference, metric_ideal_gas,
+                     metric_kn_radiant_jslice, riemann_parts_reference,
+                     sample_points)
 from hessiometric import BUILTIN_NAMES, builtin, expr, jets, load_model
 from hessiometric.errors import (DegenerateSliceError, DomainError,
                                  RankDeficientError)
-from hessiometric.submanifold import (Connection, christoffel_derivatives, curvature,
-                                      dual_coordinates,
+from hessiometric.submanifold import (Connection, christoffel_derivatives,
+                                      connection, curvature, dual_coordinates,
                                       dual_flatness_residual, dual_potential,
                                       flatness_residual,
                                       legendre_invariance_residual,
                                       levi_civita, make_slice, pullback_metric)
-from hessiometric.submanifold import _pullback_jet
+from hessiometric.submanifold import _pullback_jet, _riemann_parts
 
 
 def random_interior_slice(rng, model, ndrop=1, box=(0.8, 1.5)):
@@ -370,6 +373,67 @@ def test_dual_flatness_from_parts_on_arbitrary_tensors(tensors):
     assert np.array_equal(conn.dual_flatness(), expected, equal_nan=True)
     assert np.array_equal(flatness_residual(2.0 * gamma, 2.0 * dgamma), expected,
                           equal_nan=True)
+
+
+# strictly convex potential in four coordinates with many zero third
+# derivatives: r = 3 on a one-row slice
+FOUR = load_model(json.dumps({
+    "name": "four", "coordinates": ["a", "b", "c", "d"],
+    "entropy": "ln(a) + 2*ln(b) + sqrt(c*d) + ln(a + b + c + d) + ln(a + 2*c)",
+    "domain": ["a", "b", "c", "d"]}))
+
+
+def _oracle_cases():
+    """(model, slice, batch) on axis-aligned and oblique slices, r = 2 and 3."""
+    rng = np.random.default_rng(29)
+    cases = [(builtin(name), sample_points(name, 1, rng)[0], B)
+             for name in BUILTIN_NAMES
+             for B in ([[0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]], [[1, 1, 0]], [[0.3, 0.5, 1]])]
+    x4 = rng.uniform(0.8, 1.5, 4)
+    cases += [(FOUR, x4, B) for B in ([[0, 0, 0, 1]], [[1, 0, 0, 0]], [[1, 2, 3, 4]],
+                                      [[0.3, -0.5, 1, 0.7]])]
+    for model, x0, B in cases:
+        sl = make_slice(B, np.array(B, dtype=float) @ x0)
+        zs = sl.project(x0) + rng.uniform(-0.05, 0.05, (12, sl.slice_dim))
+        yield model, sl, zs[model.domain_check(sl.embed(zs))]
+
+
+def _bitwise_equal(ours, reference):
+    return (np.array_equal(ours, reference)
+            and np.array_equal(np.signbit(ours), np.signbit(reference)))
+
+
+def test_connection_and_riemann_parts_equal_the_general_formulas():
+    # the symbols as half of dgbar, d2gbar and B2 as B1 with two axes swapped:
+    # bit for bit the general formulas, signs of zero included; the pulled-back
+    # jets hold -0.0 slots, where (t + t) - t gives +0.0 but the sums drop the sign
+    seen = Counter()
+    for model, sl, zs in _oracle_cases():
+        regular = zs[~connection(pullback_metric(model, sl, zs)).singular]
+        for z in [zs] + list(regular[:3]):
+            pb = pullback_metric(model, sl, z)
+            conn = connection(pb)
+            gamma, dgamma = connection_reference(pb)
+            assert _bitwise_equal(conn.gamma, gamma) and _bitwise_equal(conn.dgamma, dgamma)
+            parts = _riemann_parts(conn.gamma, conn.dgamma)
+            assert all(map(_bitwise_equal, parts, riemann_parts_reference(gamma, dgamma)))
+            seen[sl.slice_dim, z.ndim] += 1
+            seen["-0.0"] += sum(np.count_nonzero((t == 0) & np.signbit(t))
+                                for t in (pb.dgbar, pb.d2gbar))
+    assert seen[2, 2] and seen[2, 1] and seen[3, 2] and seen[3, 1] and seen["-0.0"]
+
+
+@pytest.mark.parametrize("d", [1e-2, 2e-4, 2e-6, 2e-7, 2e-8])
+def test_dual_flatness_tracks_the_scalar_error_near_extremality(d):
+    # d = (u^2 - q u - j^2) / u^2 on the KN J-slice: the float scalar loses
+    # digits like eps / d^2, and the dual flatness (zero in exact arithmetic)
+    # grows with that error, 6 to 17 times below it
+    u, j = 0.5, 0.25
+    q = (u * u - j * j - d * u * u) / u
+    report = curvature(pullback_metric(builtin("kerr_newman_radiant"),
+                                       make_slice([0, 0, 1], [j]), [u, q]))
+    exact = kn_jslice_scalar_reference(u, q, j)
+    assert abs(report.scalar - exact) / abs(exact) <= 50 * report.dual_flatness + 1e-12
 
 
 def test_christoffel_identity_all_indices_down():
