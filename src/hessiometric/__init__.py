@@ -8,7 +8,7 @@ from .errors import (DegenerateSliceError, DomainError, ExprSyntaxError,
 from .expr import parse, pretty, validate, eval_jet
 from .geometry import (KernelBasis, MetricField, codazzi_residual,
                        euler_defect, gibbs_duhem_residual, hessian_metric,
-                       kernel, psd_check, radiant_field)
+                       kernel, psd_check)
 from .jets import Jet
 from .models import BUILTIN_NAMES, PotentialModel, builtin, load_model
 from .submanifold import (CurvatureReport, DualPotential, PullbackData,

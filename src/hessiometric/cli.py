@@ -116,28 +116,34 @@ def _blocks(fn, points):
 
 # -- check -------------------------------------------------------------
 
-def _point_checks(mf, tol_rank, tol_check):
-    verdict_psd, lam_min = geometry.psd_check(mf, tol_rank)
+def _point_checks(model, points, tol_rank, tol_check):
+    """Entries of one point (n,), or per point of a batch (P, n), from one metric
+    jet and one call of each diagnostic."""
+    mf = geometry.hessian_metric(model, points)
     kb = geometry.kernel(mf, tol_rank)
-    gd = geometry.gibbs_duhem_residual(mf)
-    cd = geometry.codazzi_residual(mf)
-    kernel_dim = mf.g.shape[0] - kb.rank
+    columns = [np.asarray(c).tolist() for c in (
+        mf.point, *geometry.psd_check(mf, tol_rank), geometry.gibbs_duhem_residual(mf),
+        geometry.codazzi_residual(mf), mf.euler_defect)]
+    if points.ndim == 1:
+        return _entries(tol_rank, tol_check, kb, *columns)
+    return [_entries(tol_rank, tol_check, *row) for row in zip(kb, *columns)]
 
-    def entry(check, value, residual, tolerance, ok):
-        return {"check": check, "point": mf.point.tolist(), "value": value,
-                "residual": residual, "tolerance": tolerance,
-                "verdict": "pass" if ok else "fail"}
-    return [
-        entry("psd", {"verdict": verdict_psd, "lambda_min": lam_min},
-              max(0.0, -lam_min), tol_rank, verdict_psd == "psd"),
-        entry("kernel", {"rank": kb.rank, "kernel_dim": kernel_dim,
-                         "eigenvalues": kb.eigenvalues.tolist()},
-              float(kernel_dim == 0), tol_rank, kernel_dim >= 1),
-        entry("gibbs_duhem", {"residual": gd}, gd, tol_check, gd <= tol_check),
-        entry("codazzi", {"residual": cd}, cd, tol_check, cd <= tol_check),
+
+def _entries(tol_rank, tol_check, kb, point, verdict_psd, lam_min, gd, cd, defect):
+    kernel_dim = len(point) - kb.rank
+    checks = [
+        ("psd", {"verdict": verdict_psd, "lambda_min": lam_min},
+         max(0.0, -lam_min), tol_rank, verdict_psd == "psd"),
+        ("kernel", {"rank": kb.rank, "kernel_dim": kernel_dim,
+                    "eigenvalues": kb.eigenvalues.tolist()},
+         float(kernel_dim == 0), tol_rank, kernel_dim >= 1),
+        ("gibbs_duhem", {"residual": gd}, gd, tol_check, gd <= tol_check),
+        ("codazzi", {"residual": cd}, cd, tol_check, cd <= tol_check),
         # the spread verdict is filled in across points
-        entry("euler_defect", {"defect": mf.euler_defect}, 0.0, tol_check, True),
-    ]
+        ("euler_defect", {"defect": defect}, 0.0, tol_check, True)]
+    return [{"check": check, "point": point, "value": value, "residual": residual,
+             "tolerance": tolerance, "verdict": "pass" if ok else "fail"}
+            for check, value, residual, tolerance, ok in checks]
 
 
 def _apply_euler_spread(entries, tol_check):
@@ -156,13 +162,8 @@ def _apply_euler_spread(entries, tol_check):
 
 
 def _run_check(model, points, tol_rank, tol_check, with_timestamp):
-    def fields(p):  # metric field of each point (P, n), or of one point (n,)
-        mf = geometry.hessian_metric(model, p)
-        return mf if p.ndim == 1 else [mf.at(i) for i in range(len(p))]
-
-    checks = []
-    for mf in _blocks(fields, points):
-        checks.extend(_point_checks(mf, tol_rank, tol_check))
+    checks = [entry for entries in _blocks(
+        lambda p: _point_checks(model, p, tol_rank, tol_check), points) for entry in entries]
     _apply_euler_spread(checks, tol_check)
     report = {"model": model.name, "version": __version__}
     if with_timestamp:
@@ -247,8 +248,8 @@ def cmd_curvature(args) -> int:
 
 def _legendre_entries(model, sl, zs):
     """JSON entries of slice points (P, r), or the entry of one point (r,),
-    from one pullback jet: its gradient is the dual coordinates."""
-    pb = submanifold.pullback_metric(model, sl, zs)
+    from one order-2 pullback jet: its gradient is the dual coordinates."""
+    pb = submanifold.pullback_metric(model, sl, zs, order=2)
     dp = submanifold.dual_potential(pb)
     columns = {"z": pb.z, "phi_star": dp.value, "phi_star_extensive_form": dp.extensive_form,
                "extensive_mismatch": dp.mismatch, "dual_coordinates": pb.gradient,

@@ -4,7 +4,8 @@ Everything here is a pure function of (model, point): the metric and its
 first coordinate derivatives from one order-3 jet, the kernel of the induced
 flat map, the Euler defect and Gibbs-Duhem residual that characterize
 extensivity, the Codazzi symmetry residual (its vanishing also makes the
-kernel distribution involutive), and positive semi-definiteness.
+kernel distribution involutive), and positive semi-definiteness, each at a
+point (n,) or per point of a batch (P, n), bit for bit as at that point alone.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DomainError
+from .jets import _item
 from .models import PotentialModel
 
 _EPS = 1e-300
@@ -32,16 +34,9 @@ class MetricField:
     potential: float
     gradient: np.ndarray
 
-    def at(self, i: int) -> "MetricField":
-        """Point ``i`` of a batch, each array a C-contiguous copy: every
-        diagnostic then rounds as for that point alone."""
-        point, g, dg, gradient = (np.ascontiguousarray(a[i]) for a in (
-            self.point, self.g, self.dg, self.gradient))
-        return MetricField(point, g, dg, float(self.potential[i]), gradient)
-
     @property
-    def euler_defect(self) -> float:
-        """:func:`euler_defect` at a single point, from the same jet."""
+    def euler_defect(self):
+        """:func:`euler_defect` at the point(s), from the same jet."""
         return _defect(self.point, self.potential, self.gradient)
 
 
@@ -57,8 +52,7 @@ def hessian_metric(model: PotentialModel, point) -> MetricField:
     a point (n,) or a batch (P, n), each point's tensors bit for bit, and equal
     to the lower slots of an order-4 jet (no diagnostic reads a fourth
     derivative).  A batch keeps its axis innermost in memory (``g`` has strides
-    (8, 8Pn, 8P)): :meth:`MetricField.at` reads one point.  Raises DomainError
-    outside the model domain."""
+    (8, 8Pn, 8P)).  Raises DomainError outside the model domain."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     model.require_domain(point)
     jet = model.potential_jet(point, order=3)
@@ -68,93 +62,92 @@ def hessian_metric(model: PotentialModel, point) -> MetricField:
 
 
 def require_finite(what: str, *arrays) -> None:
-    """Guard for numpy.linalg, which fails or returns NaN on inf/NaN."""
-    if not all(np.isfinite(a).all() for a in arrays):
+    """Guard for numpy.linalg, which fails or returns NaN on inf/NaN (None passes)."""
+    if not all(a is None or np.isfinite(a).all() for a in arrays):
         raise DomainError(f"{what} is not finite")
 
 
-def _canonical_sign(vectors):
-    """Flip each row so its first component of nonzero magnitude is
-    positive."""
-    out = vectors.copy()
-    for row in out:
+def _amax(a: np.ndarray, k: int):
+    """Largest |entry| over the last k axes (per point for a batch)."""
+    return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
+
+
+def _pointwise(fn, *arrays):
+    """``fn(*arrays)`` at one point, whose first array is (n,); for a batch (P, n),
+    the list of ``fn`` on each point's C-contiguous slices, which round as alone."""
+    if arrays[0].ndim == 1:
+        return fn(*arrays)
+    return [fn(*rows) for rows in zip(*map(np.ascontiguousarray, arrays))]
+
+
+def kernel(mf: MetricField, tol_rel: float = 1e-9):
+    """Eigendecomposition-based kernel of the flat map at a point, or one
+    :class:`KernelBasis` per point of a batch from one ``eigh``.
+
+    An eigenvalue counts as zero iff |lambda| <= tol_rel * lambda_max.
+    """
+    eigenvalues, eigenvectors = np.linalg.eigh(np.ascontiguousarray(mf.g))
+    return _pointwise(lambda lam, vec: _kernel_basis(lam, vec, tol_rel), eigenvalues, eigenvectors)
+
+
+def _kernel_basis(eigenvalues, eigenvectors, tol_rel) -> KernelBasis:
+    lam_max = float(np.max(np.abs(eigenvalues)))
+    null = (np.abs(eigenvalues) <= tol_rel * lam_max) | (lam_max == 0.0)
+    # eigh returns ascending eigenvalues, so the rows are already ordered;
+    # each row's first entry of magnitude above 1e-14 is made positive
+    basis = eigenvectors[:, null].T.copy()
+    for row in basis:
         for x in row:
             if abs(x) > 1e-14:
                 if x < 0:
                     row *= -1.0
                 break
-    return out
-
-
-def kernel(mf: MetricField, tol_rel: float = 1e-9) -> KernelBasis:
-    """Eigendecomposition-based kernel of the flat map at a point.
-
-    An eigenvalue counts as zero iff |lambda| <= tol_rel * lambda_max.
-    """
-    eigenvalues, eigenvectors = np.linalg.eigh(mf.g)
-    lam_max = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    if lam_max == 0.0:
-        null = np.ones(len(eigenvalues), dtype=bool)
-    else:
-        null = np.abs(eigenvalues) <= tol_rel * lam_max
-    # eigh returns ascending eigenvalues, so the rows are already ordered
-    basis = _canonical_sign(eigenvectors[:, null].T)
-    n = mf.g.shape[0]
-    return KernelBasis(rank=n - int(np.count_nonzero(null)),
+    return KernelBasis(rank=len(eigenvalues) - int(np.count_nonzero(null)),
                        basis=basis,
                        eigenvalues=eigenvalues)
 
 
-def radiant_field(point) -> np.ndarray:
-    """Components of the radiant vector in its own chart: the point."""
-    return np.atleast_1d(np.asarray(point, dtype=float)).copy()
-
-
-def euler_defect(model: PotentialModel, point) -> float:
-    """rho(Phi) - Phi at a point.  Constant over the domain iff the
-    differential of the potential is extensive; for the thermodynamic
-    builtins the constant is the entropy offset."""
+def euler_defect(model: PotentialModel, point):
+    """rho(Phi) - Phi at a point (per point for a batch).  Constant over the
+    domain iff the differential of the potential is extensive; for the
+    thermodynamic builtins the constant is the entropy offset."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     model.require_domain(point)
     jet = model.potential_jet(point, order=1)
     return _defect(point, jet.value, jet.gradient())
 
 
-def _defect(point, potential, gradient) -> float:
-    return float(point @ gradient - potential)
+def _defect(point, potential, gradient):
+    return _item(np.array(_pointwise(lambda x, phi, grad: x @ grad - phi,
+                                     point, potential, gradient)))
 
 
-def gibbs_duhem_residual(mf: MetricField) -> float:
-    """Normalized size of g applied to the radiant vector.  Zero (to roundoff)
-    exactly when the radiant direction is null; DomainError where it overflows."""
-    rho = radiant_field(mf.point)
-    residual = np.linalg.norm(mf.g @ rho) / (
-        np.linalg.norm(mf.g) * np.linalg.norm(rho) + _EPS)
+def gibbs_duhem_residual(mf: MetricField):
+    """Normalized size of g applied to the radiant vector, whose components are
+    the point (per point for a batch: a batched ``norm`` rounds otherwise).  Zero
+    (to roundoff) exactly when the radiant direction is null; DomainError where
+    it overflows."""
+    residual = np.array(_pointwise(lambda rho, g: np.linalg.norm(g @ rho) / (
+        np.linalg.norm(g) * np.linalg.norm(rho) + _EPS), mf.point, mf.g))
     require_finite("Gibbs-Duhem residual", residual)
-    return float(residual)
+    return _item(residual)
 
 
-def codazzi_residual(mf: MetricField) -> float:
-    """Total-symmetry defect of the third-derivative array, normalized
-    by its largest entry."""
-    return symmetry_residual(mf.dg)
-
-
-def symmetry_residual(dg) -> float:
-    dg = np.asarray(dg, dtype=float)
-    scale = float(np.max(np.abs(dg))) + _EPS
-    worst = 0.0
-    for axes in permutations(range(dg.ndim)):
-        worst = max(worst, float(np.max(np.abs(dg - dg.transpose(axes)))))
-    return worst / scale
+def codazzi_residual(mf: MetricField):
+    """Total-symmetry defect of dg[k, i, j] = d_k g_ij, normalized by its
+    largest entry (per point for a batch).  Exactly 0.0 for a metric field
+    from :func:`hessian_metric`: it reads each entry of ``dg`` from one jet slot."""
+    transposes = np.stack([np.einsum("...ijk->..." + "".join(p), mf.dg)
+                           for p in permutations("ijk")])
+    return _item(_amax(mf.dg - transposes, 3).max(axis=0) / (_amax(mf.dg, 3) + _EPS))
 
 
 def psd_check(mf: MetricField, tol_rel: float = 1e-9):
-    """('psd' | 'indefinite', smallest eigenvalue), from ``eigvalsh``: it rounds
-    otherwise than the ``eigh`` of :func:`kernel`, so a null eigenvalue differs
-    (ideal gas at 1,1,1: 2.9e-17 here, -3.7e-16 as ``kernel``'s first)."""
-    eigenvalues = np.linalg.eigvalsh(mf.g)
-    lam_min = float(eigenvalues[0])
-    lam_max = float(np.max(np.abs(eigenvalues)))
-    verdict = "psd" if lam_min >= -tol_rel * lam_max else "indefinite"
-    return verdict, lam_min
+    """('psd' | 'indefinite', smallest eigenvalue), or a list of verdicts and an
+    array for a batch, from one ``eigvalsh``: it rounds otherwise than the
+    ``eigh`` of :func:`kernel`, so a null eigenvalue differs (ideal gas at
+    1,1,1: 2.9e-17 here, -3.7e-16 as ``kernel``'s first)."""
+    eigenvalues = np.linalg.eigvalsh(np.ascontiguousarray(mf.g))
+    lam_min = eigenvalues[..., 0]
+    psd = lam_min >= -tol_rel * _amax(eigenvalues, 1)
+    return np.where(psd, "psd", "indefinite").tolist(), _item(lam_min)

@@ -314,10 +314,16 @@ def _reciprocal(v, order, lib):
             24 / lib.pow(v, 5)][: order + 1]
 
 
+def _require_positive(name, v, lib):
+    """DomainError unless v > 0 (0.0 may be a positive value that underflowed)."""
+    if lib.any(v <= 0.0):
+        kind = "zero or underflowed" if lib.any(v == 0.0) else "non-positive"
+        raise DomainError(f"{name} of {kind} value {v}")
+
+
 @_elementary
 def ln(v, order, lib):
-    if lib.any(v <= 0.0):
-        raise DomainError(f"ln of non-positive value {v}")
+    _require_positive("ln", v, lib)
     return [lib.log(v), 1 / v, -1 / lib.pow(v, 2), 2 / lib.pow(v, 3),
             -6 / lib.pow(v, 4)][: order + 1]
 
@@ -329,8 +335,7 @@ def exp(v, order, lib):
 
 @_elementary
 def sqrt(v, order, lib):
-    if lib.any(v <= 0.0):
-        raise DomainError(f"sqrt of non-positive value {v}")
+    _require_positive("sqrt", v, lib)
     s = lib.sqrt(v)
     return [s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
             -0.9375 / (s * lib.pow(v, 3))][: order + 1]

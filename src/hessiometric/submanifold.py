@@ -19,7 +19,7 @@ import numpy as np
 from . import expr
 from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
-from .geometry import hessian_metric, require_finite
+from .geometry import _amax, hessian_metric, require_finite
 from .jets import Jet, _item
 from .models import PotentialModel
 
@@ -117,7 +117,8 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
 
 @dataclass
 class PullbackData:
-    """Order-4 data of the pulled-back potential at a slice point.
+    """Data of the pulled-back potential at a slice point, from a jet of order
+    2 to 4 (``dgbar`` is None below order 3, ``d2gbar`` below order 4).
 
     Index conventions: dgbar[k, a, b] = d_k gbar_ab and
     d2gbar[l, k, a, b] = d_l d_k gbar_ab in slice coordinates.
@@ -129,8 +130,8 @@ class PullbackData:
     potential: float          # pulled-back potential value(s)
     gradient: np.ndarray      # d(potential)/dz
     gbar: np.ndarray
-    dgbar: np.ndarray
-    d2gbar: np.ndarray
+    dgbar: Optional[np.ndarray]
+    d2gbar: Optional[np.ndarray]
     model: PotentialModel = field(repr=False)
 
     @property
@@ -151,22 +152,25 @@ def _pullback_jet(model: PotentialModel, sl: SliceSpec, x, order: int = 4) -> Je
     return -expr.eval_finite(model.entropy, env)
 
 
-def pullback_metric(model: PotentialModel, sl: SliceSpec, z) -> PullbackData:
+def pullback_metric(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> PullbackData:
     """Induced metric and its z-derivatives at a slice point (or a batch z
-    of shape (P, r)), from one order-4 jet of the pulled-back potential.
+    of shape (P, r)), from one jet of the pulled-back potential of the given
+    order (2 for the metric alone, 4 for :func:`curvature`).
     Raises DomainError off the model domain.  ``two_path_residual`` of the
     result is an on-demand chain-rule cross-check against the ambient metric."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = sl.embed(z)
     model.require_domain(x)
-    return _pullback(model, sl, z, x)
+    return _pullback(model, sl, z, x, order)
 
 
-def _pullback(model: PotentialModel, sl: SliceSpec, z, x) -> PullbackData:
+def _pullback(model: PotentialModel, sl: SliceSpec, z, x, order: int = 4) -> PullbackData:
     """:func:`pullback_metric` at points x = embed(z) known to be inside
     the domain (no domain check)."""
-    jet = _pullback_jet(model, sl, x, order=4)
-    gbar, dgbar, d2gbar = jet.hessian(), jet.third_tensor(), jet.fourth_tensor()
+    jet = _pullback_jet(model, sl, x, order)
+    gbar = jet.hessian()
+    dgbar = jet.third_tensor() if order > 2 else None
+    d2gbar = jet.fourth_tensor() if order > 3 else None
     require_finite("pulled-back metric", gbar, dgbar, d2gbar)
     return PullbackData(slice=sl, z=z, x=x,
                         potential=jet.value, gradient=jet.gradient(),
@@ -235,11 +239,6 @@ def _riemann_parts(gamma: np.ndarray, dgamma: np.ndarray):
     b1 = np.einsum("...ace,...edb->...abcd", gamma, gamma)
     return (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma),
             b1, b1.swapaxes(-1, -2))
-
-
-def _amax(a: np.ndarray, k: int):
-    """Largest |entry| over the last k axes (per point for a batch)."""
-    return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
 
 
 def _flatness(gamma, dgamma, k, d, b1, b2):

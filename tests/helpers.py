@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -275,6 +275,19 @@ def kn_jslice_scalar_reference(u, q, j):
                       * (phi3(f, a, e) * phi3(h, dd, b) - phi3(f, dd, e) * phi3(h, a, b))
                       for a, b, dd, e, f, h in product(r, repeat=6)) / 4
         return float(scalar)
+
+
+# -- total symmetry of one array, one permutation at a time ------------
+
+def symmetry_residual(dg) -> float:
+    """Largest |dg - dg.transpose(axes)| over every permutation of the axes,
+    normalized by the largest |entry|: the reference for ``codazzi_residual``."""
+    dg = np.asarray(dg, dtype=float)
+    scale = float(np.max(np.abs(dg))) + _EPS
+    worst = 0.0
+    for axes in permutations(range(dg.ndim)):
+        worst = max(worst, float(np.max(np.abs(dg - dg.transpose(axes)))))
+    return worst / scale
 
 
 # -- involutivity of the kernel distribution ---------------------------

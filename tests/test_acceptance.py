@@ -15,12 +15,12 @@ import numpy as np
 
 import helpers
 from helpers import (complement_residual, involutivity_residual,
-                     lie_bracket_fd)
+                     lie_bracket_fd, symmetry_residual)
 from hessiometric import builtin, cli, load_model
 from hessiometric.expr import eval_jet
 from hessiometric.geometry import (codazzi_residual, euler_defect,
                                    gibbs_duhem_residual, hessian_metric,
-                                   kernel, symmetry_residual)
+                                   kernel)
 from hessiometric.submanifold import (curvature, dual_flatness_residual,
                                       dual_potential,
                                       legendre_invariance_residual,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import sample_points
 from hessiometric import cli, expr, geometry, models, submanifold
 from hessiometric.jets import Jet
 
@@ -172,6 +173,17 @@ def test_gibbs_duhem_residual_is_zero_where_only_its_denominator_overflows(capsy
     assert code == cli.EXIT_OK and gd[0]["residual"] == 0.0
 
 
+def test_an_argument_that_underflows_to_zero_is_named_as_such(tmp_path, capsys):
+    # every coordinate is positive, but U**1.5 and x1*x2 underflow to 0.0
+    model = tmp_path / "root.json"
+    model.write_text(json.dumps({"name": "root", "coordinates": ["x1", "x2"],
+                                 "entropy": "sqrt(x1*x2)", "domain": ["x1", "x2"]}))
+    for argv, fn in ((["ideal_gas", "--point", "1e-200,1e-20,1e20"], "ln"),
+                     ([str(model), "--point", "1e-200,1e-200"], "sqrt")):
+        assert run_cli(["check", *argv], capsys) == (
+            cli.EXIT_DOMAIN_ERROR, "", f"error: {fn} of zero or underflowed value 0.0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "ideal_gas", "--point", "1e200,1e200,1e200"],
     ["check", "paramagnet", "--point", "1,inf,1"],
@@ -212,6 +224,13 @@ def test_check_first_failing_point_decides_the_error(points, message, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_check_diagnostic_failure_before_a_domain_violation_decides_the_error(capsys):
+    # each point of the rerun runs its diagnostics before the next point's jet
+    assert run_cli(["check", "paramagnet", "--no-timestamp", "--point=1,1e150,1",
+                    "--point=-1,1,1"], capsys) == (
+        cli.EXIT_DOMAIN_ERROR, "", "error: Gibbs-Duhem residual is not finite\n")
+
+
 @pytest.mark.parametrize("points, code, message", [
     (["-1,1", "1e308,1"], cli.EXIT_DOMAIN_ERROR,
      "point [-1.0, 1.0, 1.0] violates the domain of model 'ideal_gas'"),
@@ -222,10 +241,10 @@ def test_check_first_failing_point_decides_the_error(points, message, capsys):
     # every length is checked before any evaluation, as in check
     (["-1,1", "1"], cli.EXIT_MODEL_ERROR,
      "point [1.0] has 1 components, slice dimension is 2"),
-    # the order-4 pullback walks first and names its failure, as curvature
-    # does at this point
+    # the order-2 pullback walks first: U**1.5 underflows to 0.0, while
+    # curvature's order-4 walk fails earlier, on U**-2.5 overflowing
     (["1,1", "1e-300,1"], cli.EXIT_DOMAIN_ERROR,
-     "derivatives of pow_const at 1e-300 leave the float range")])
+     "ln of zero or underflowed value 0.0")])
 def test_legendre_first_failing_point_decides_the_error(points, code, message, capsys):
     assert run_cli(["legendre", "ideal_gas", "--slice", "0,0,1=1", "--no-timestamp",
                     *(f"--point={p}" for p in points)], capsys) == \
@@ -270,6 +289,23 @@ def test_points_csv_file(tmp_path, capsys):
                             "--points", str(csv_file)], capsys)
     assert code == cli.EXIT_OK
     assert out == (GOLDEN / "check_ideal_gas.json").read_text()
+
+
+@pytest.mark.parametrize("name, code", [("ideal_gas", cli.EXIT_OK),
+                                        ("kerr_newman_naive", cli.EXIT_CHECK_FAILED)])
+def test_check_entries_of_two_blocks_equal_the_single_point_entries(name, code, tmp_path,
+                                                                    capsys):
+    # the block boundary falls inside the points; every diagnostic runs once
+    # per block, and each entry equals the one its point gives alone
+    model = models.builtin(name)
+    points = sample_points(name, cli._BLOCK + 30, np.random.default_rng(53))
+    csv_file = tmp_path / "points.csv"
+    csv_file.write_text("".join(",".join(map(repr, p)) + "\n" for p in points.tolist()))
+    single = [e for p in points for e in cli._point_checks(model, p, 1e-9, 1e-8)]
+    cli._apply_euler_spread(single, 1e-8)
+    assert run_cli(["check", name, "--no-timestamp", "--points", str(csv_file)], capsys) == (
+        code, json.dumps({"model": name, "version": cli.__version__, "checks": single},
+                         indent=2) + "\n", "")
 
 
 # -- curvature scan behavior -------------------------------------------
@@ -496,11 +532,12 @@ def test_legendre_reads_each_point_from_one_pullback_jet(block, blocks,
                             "--no-timestamp", *points], capsys)
     assert code == cli.EXIT_OK
     assert len(json.loads(out)["points"]) == 20
-    # per block: one order-4 pullback jet, whose gradient is the dual
+    # per block: one order-2 pullback jet, whose gradient is the dual
     # coordinates, then one ambient order-1 walk for the extensive form
     # and one over the stencils of the Jacobian; the jet and the stencils
     # each check the domain once
-    assert counts["jet_order_4"] == blocks and counts["hessian_metric"] == 0
+    assert counts["jet_order_2"] == blocks and counts["hessian_metric"] == 0
+    assert counts["jet_order_4"] == 0
     assert counts["jet_order_1"] == counts["walk_order_1"] == 2 * blocks
     assert counts["domain_check"] == 2 * blocks
 

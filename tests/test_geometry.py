@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from helpers import (complement_residual, involutivity_residual,
                      lie_bracket_fd, metric_ideal_gas, metric_paramagnet,
                      model_doc, perturbed_model, random_homogeneous_model,
-                     sample_points)
+                     sample_points, symmetry_residual)
 from hessiometric import BUILTIN_NAMES, builtin, load_model
 from hessiometric.errors import DomainError
 from hessiometric.geometry import (MetricField, codazzi_residual, euler_defect,
                                    gibbs_duhem_residual, hessian_metric, kernel,
-                                   psd_check, radiant_field, symmetry_residual)
+                                   psd_check)
+from hessiometric.jets import _space
 
 SYN_RANK2 = json.dumps({
     "name": "two_block",
@@ -67,29 +69,6 @@ def test_empty_batch_gives_empty_tensors():
     assert mf.potential.shape == (0,) and mf.gradient.shape == (0, 3)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_batched_metric_field_diagnostics_match_single_points(name):
-    # a batch keeps its axis innermost in memory; MetricField.at copies a
-    # point out, so every diagnostic rounds as for that point alone
-    model = builtin(name)
-    points = sample_points(name, 40, np.random.default_rng(41))
-    batch = hessian_metric(model, points)
-    assert batch.g.strides == (8, 8 * 40 * 3, 8 * 40)
-
-    def bits(mf):
-        verdict, lam_min = psd_check(mf)
-        kb = kernel(mf)
-        values = [mf.g, mf.dg, mf.potential, mf.gradient, lam_min,
-                  kb.basis, kb.eigenvalues, gibbs_duhem_residual(mf),
-                  codazzi_residual(mf), mf.euler_defect]
-        return [verdict, kb.rank] + [np.asarray(v, dtype=float).tobytes() for v in values]
-
-    for i, point in enumerate(points):
-        mf = hessian_metric(model, point)
-        assert bits(batch.at(i)) == bits(mf)
-        assert mf.euler_defect.hex() == euler_defect(model, point).hex()
-
-
 # near the domain boundary, at extreme scales and at exact zeros, each with
 # a finite order-4 jet
 EDGE_POINTS = {
@@ -99,6 +78,38 @@ EDGE_POINTS = {
                             [1e-30, 1e-31, 1e-31]],
     "kerr_newman_naive": [[1, 0.999999, 0], [1, 0, 0.999999], [1e10, 1, 1]],
 }
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batched_metric_field_diagnostics_match_single_points(name):
+    # a batch keeps its axis innermost in memory; each diagnostic takes the
+    # whole batch and gives every point's result bit for bit as alone
+    model = builtin(name)
+    points = np.vstack([sample_points(name, 40, np.random.default_rng(41)),
+                        EDGE_POINTS[name]])
+    batch = hessian_metric(model, points)
+    assert batch.g.strides == (8, 8 * len(points) * 3, 8 * len(points))
+
+    def bits(*values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    verdicts, lam_mins = psd_check(batch)
+    kernels = kernel(batch)
+    gd, cd = gibbs_duhem_residual(batch), codazzi_residual(batch)
+    defects = batch.euler_defect
+    assert bits(defects) == bits(euler_defect(model, points))
+    assert len(verdicts) == len(kernels) == len(points)
+    for i, point in enumerate(points):
+        mf = hessian_metric(model, point)
+        kb = kernel(mf)
+        assert bits(batch.g[i], batch.dg[i], batch.potential[i], batch.gradient[i]) == \
+            bits(mf.g, mf.dg, mf.potential, mf.gradient)
+        assert (verdicts[i], kernels[i].rank) == (psd_check(mf)[0], kb.rank)
+        assert bits(lam_mins[i], kernels[i].basis, kernels[i].eigenvalues, gd[i], cd[i],
+                    defects[i]) == bits(psd_check(mf)[1], kb.basis, kb.eigenvalues,
+                                        gibbs_duhem_residual(mf), codazzi_residual(mf),
+                                        mf.euler_defect)
+        assert mf.euler_defect.hex() == euler_defect(model, point).hex()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -158,12 +169,6 @@ def test_kernel_eigen_residual():
                 <= 1e-10 * np.linalg.norm(mf.g)
         for v in kb.basis:
             assert np.linalg.norm(mf.g @ v) <= 1e-10 * np.linalg.norm(mf.g)
-
-
-def test_radiant_field_is_identity_chart():
-    assert np.allclose(radiant_field([1, 1, 1]), [1, 1, 1])
-    assert np.allclose(radiant_field([2, 3, 5]), [2, 3, 5])
-    assert np.allclose(radiant_field([0, 0, 0]), [0, 0, 0])
 
 
 def test_euler_defect_ideal_gas():
@@ -237,11 +242,17 @@ def test_kernel_scale_equivariance():
 
 
 def test_codazzi_residual_builtins():
+    # third_tensor gathers every permutation of (k, i, j) from one jet slot, so
+    # dg is exactly symmetric: the residual is 0.0, not roundoff
+    slots = _space(3, 3)[4][2][0]
+    for axes in permutations(range(3)):
+        assert np.array_equal(slots, slots.transpose(axes))
     rng = np.random.default_rng(29)
-    for name in ("ideal_gas", "paramagnet", "kerr_newman_radiant",
-                 "kerr_newman_naive"):
-        for p in sample_points(name, 5, rng):
-            assert codazzi_residual(hessian_metric(builtin(name), p)) <= 1e-12
+    for name in BUILTIN_NAMES:
+        points = np.vstack([sample_points(name, 5, rng), EDGE_POINTS[name]])
+        mf = hessian_metric(builtin(name), points)
+        assert codazzi_residual(mf).tolist() == [0.0] * len(points)
+        assert [symmetry_residual(dg) for dg in mf.dg] == [0.0] * len(points)
 
 
 def test_codazzi_broken_fixture():
@@ -249,6 +260,11 @@ def test_codazzi_broken_fixture():
     dg[0, 0, 1] = 0.5
     assert symmetry_residual(dg) == pytest.approx(1.0)
     assert symmetry_residual(np.zeros((2, 2, 2))) == 0.0
+    # on arrays that are not symmetric the batch equals the oracle bit for bit
+    dgs = np.stack([dg, np.zeros((2, 2, 2)), np.random.default_rng(7).random((2, 2, 2))])
+    mf = MetricField(point=np.ones((3, 2)), g=np.zeros((3, 2, 2)), dg=dgs,
+                     potential=np.zeros(3), gradient=np.zeros((3, 2)))
+    assert codazzi_residual(mf).tolist() == [symmetry_residual(d) for d in dgs]
 
 
 def test_psd_verdicts():
