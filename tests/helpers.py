@@ -69,6 +69,17 @@ def sample_points(name, count, rng):
     return lo + (hi - lo) * rng.random((count, len(box)))
 
 
+# near the domain boundary, at extreme scales and at exact zeros, each with
+# a finite order-4 jet
+EDGE_POINTS = {
+    "ideal_gas": [[1e-20, 1, 1], [1e20, 1, 1], [1, 1e-20, 1e-20], [1e10, 1e-10, 1]],
+    "paramagnet": [[1, 0, 1], [2, -0.0, 1], [1e-50, 0.5, 1], [1, 1e50, 1e30]],
+    "kerr_newman_radiant": [[0.5, 0.375 - 1e-12, 0.25], [1, 0, 0], [1, 0.999999, 0],
+                            [1e-30, 1e-31, 1e-31]],
+    "kerr_newman_naive": [[1, 0.999999, 0], [1, 0, 0.999999], [1e10, 1, 1]],
+}
+
+
 # -- closed-form metric matrices (hand-transcribed) --------------------
 
 def metric_ideal_gas(p, R=1.0, c=1.5):

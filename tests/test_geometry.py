@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import (complement_residual, involutivity_residual,
+from helpers import (EDGE_POINTS, complement_residual, involutivity_residual,
                      lie_bracket_fd, metric_ideal_gas, metric_paramagnet,
                      model_doc, perturbed_model, random_homogeneous_model,
                      sample_points, symmetry_residual)
@@ -67,17 +67,6 @@ def test_empty_batch_gives_empty_tensors():
     mf = hessian_metric(builtin("ideal_gas"), np.empty((0, 3)))
     assert mf.g.shape == (0, 3, 3) and mf.dg.shape == (0, 3, 3, 3)
     assert mf.potential.shape == (0,) and mf.gradient.shape == (0, 3)
-
-
-# near the domain boundary, at extreme scales and at exact zeros, each with
-# a finite order-4 jet
-EDGE_POINTS = {
-    "ideal_gas": [[1e-20, 1, 1], [1e20, 1, 1], [1, 1e-20, 1e-20], [1e10, 1e-10, 1]],
-    "paramagnet": [[1, 0, 1], [2, -0.0, 1], [1e-50, 0.5, 1], [1, 1e50, 1e30]],
-    "kerr_newman_radiant": [[0.5, 0.375 - 1e-12, 0.25], [1, 0, 0], [1, 0.999999, 0],
-                            [1e-30, 1e-31, 1e-31]],
-    "kerr_newman_naive": [[1, 0.999999, 0], [1, 0, 0.999999], [1e10, 1, 1]],
-}
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
