@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -303,6 +304,13 @@ def cmd_report(args) -> int:
 
 # -- entry point -------------------------------------------------------
 
+def tolerance(text: str) -> float:
+    """argparse type of the tolerances: finite and >= 0, else a usage error (exit 2)."""
+    if not 0.0 <= float(text) < math.inf:  # NaN or inf would print in the JSON
+        raise ValueError(text)
+    return float(text)
+
+
 @lru_cache(maxsize=None)  # built on first use; parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -315,9 +323,9 @@ def _build_parser():
         p.add_argument("model", help="model JSON file or builtin name "
                        f"({', '.join(models.BUILTIN_NAMES)})")
         if tolerances:
-            p.add_argument("--tol-rank", type=float, default=1e-9,
+            p.add_argument("--tol-rank", type=tolerance, default=1e-9,
                            help="relative spectral tolerance for kernel/PSD")
-            p.add_argument("--tol-check", type=float, default=1e-8,
+            p.add_argument("--tol-check", type=tolerance, default=1e-8,
                            help="residual tolerance for pass/fail verdicts")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header field")

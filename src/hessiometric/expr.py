@@ -222,10 +222,10 @@ def _walk(ast, env, like):
     on c rounds exactly as on ``like.constant_like(c)``.  A constant whose
     jet would carry nonzero slots (-0.0 after a negation, NaN when it is
     not finite) stays a jet."""
-    if isinstance(ast, Num):
-        return float(ast.value)
     if isinstance(ast, Name):
         return env[ast.name]
+    if isinstance(ast, Num):
+        return float(ast.value)
     if isinstance(ast, Neg):
         operand = _walk(ast.operand, env, like)
         return -(like.constant_like(operand) if isinstance(operand, float) else operand)
@@ -260,11 +260,11 @@ def _walk(ast, env, like):
 
 
 def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:
-    """:func:`eval_on`, then one finiteness check of the finished jet:
-    infinite inputs and numpy overflow, at any point of a batch, end here
-    as a DomainError."""
+    """:func:`eval_on`, then one finiteness check of the finished jet's derivatives
+    (coefficients times factorials, as the tensors gather them): infinite inputs
+    and numpy overflow, at any point of a batch, end here as a DomainError."""
     jet = eval_on(ast, env)
-    if not np.isfinite(jet.coeffs).all():
+    if not np.isfinite(jet.coeffs.T * jets._space(jet.dim, jet.order)[3]).all():
         raise DomainError("expression value or derivatives are not finite")
     return jet
 
@@ -276,8 +276,9 @@ def environment(variables: Sequence[str], params: Mapping[str, float], values,
     parameters as floats.  A variable with no derivative (order 0, or a gradient
     row of +0.0) and one point, or one nonzero value over the batch, is a float."""
     block = jets.affine_jets(values, gradients, order)
+    # +0.0 is the one float whose bits are all zero
     constant = ([True] * len(block) if order == 0 else
-                (~np.asarray(gradients, dtype=float).view(np.int64).any(axis=1)).tolist())
+                [not any(row) for row in gradients.view(np.int64).tolist()])
     env = {_SHAPE: block[0]}
     for name, jet, x, fold in zip(variables, block, values.tolist(), constant):
         if fold and isinstance(x, list):  # a batch: nonzero and equal is equal bit for bit

@@ -55,16 +55,9 @@ def hessian_metric(model: PotentialModel, point) -> MetricField:
     (8, 8Pn, 8P)).  Raises DomainError outside the model domain."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     model.require_domain(point)
-    jet = model.potential_jet(point, order=3)
-    g, dg = jet.hessian(), jet.third_tensor()
-    require_finite("metric field", g, dg)
-    return MetricField(point=point, g=g, dg=dg, potential=jet.value, gradient=jet.gradient())
-
-
-def require_finite(what: str, *arrays) -> None:
-    """Guard for numpy.linalg, which fails or returns NaN on inf/NaN (None passes)."""
-    if not all(a is None or np.isfinite(a).all() for a in arrays):
-        raise DomainError(f"{what} is not finite")
+    jet = model.potential_jet(point, order=3)  # its derivatives are finite
+    return MetricField(point=point, g=jet.hessian(), dg=jet.third_tensor(),
+                       potential=jet.value, gradient=jet.gradient())
 
 
 def _amax(a: np.ndarray, k: int):
@@ -82,29 +75,26 @@ def _pointwise(fn, *arrays):
 
 def kernel(mf: MetricField, tol_rel: float = 1e-9):
     """Eigendecomposition-based kernel of the flat map at a point, or one
-    :class:`KernelBasis` per point of a batch from one ``eigh``.
+    :class:`KernelBasis` per point of a batch, from one ``eigh`` and one null
+    mask and sign fix over all points.
 
     An eigenvalue counts as zero iff |lambda| <= tol_rel * lambda_max.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(np.ascontiguousarray(mf.g))
-    return _pointwise(lambda lam, vec: _kernel_basis(lam, vec, tol_rel), eigenvalues, eigenvectors)
-
-
-def _kernel_basis(eigenvalues, eigenvectors, tol_rel) -> KernelBasis:
-    lam_max = float(np.max(np.abs(eigenvalues)))
-    null = (np.abs(eigenvalues) <= tol_rel * lam_max) | (lam_max == 0.0)
-    # eigh returns ascending eigenvalues, so the rows are already ordered;
-    # each row's first entry of magnitude above 1e-14 is made positive
-    basis = eigenvectors[:, null].T.copy()
-    for row in basis:
-        for x in row:
-            if abs(x) > 1e-14:
-                if x < 0:
-                    row *= -1.0
-                break
-    return KernelBasis(rank=len(eigenvalues) - int(np.count_nonzero(null)),
-                       basis=basis,
-                       eigenvalues=eigenvalues)
+    size = np.abs(eigenvalues)
+    lam_max = size.max(axis=-1, keepdims=True)
+    null = (size <= tol_rel * lam_max) | (lam_max == 0.0)
+    # the null rows of every point, in order (eigh returns ascending
+    # eigenvalues); each row's first entry of magnitude above 1e-14 is made positive
+    basis = eigenvectors.swapaxes(-1, -2)[null]
+    lead = basis[np.arange(len(basis)), (np.abs(basis) > 1e-14).argmax(axis=-1)]
+    np.negative(basis, out=basis, where=lead[:, None] < -1e-14)
+    n = null.shape[-1]
+    if null.ndim == 1:
+        return KernelBasis(rank=n - len(basis), basis=basis, eigenvalues=eigenvalues)
+    ends = np.cumsum(null.sum(axis=1)).tolist()
+    return [KernelBasis(rank=n - (stop - start), basis=basis[start:stop], eigenvalues=lam)
+            for start, stop, lam in zip([0] + ends, ends, eigenvalues)]
 
 
 def euler_defect(model: PotentialModel, point):
@@ -129,7 +119,8 @@ def gibbs_duhem_residual(mf: MetricField):
     it overflows."""
     residual = np.array(_pointwise(lambda rho, g: np.linalg.norm(g @ rho) / (
         np.linalg.norm(g) * np.linalg.norm(rho) + _EPS), mf.point, mf.g))
-    require_finite("Gibbs-Duhem residual", residual)
+    if not np.isfinite(residual).all():
+        raise DomainError("Gibbs-Duhem residual is not finite")
     return _item(residual)
 
 

@@ -20,7 +20,7 @@ per point.  A float operand c rounds exactly as the constant jet ``constant_like
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partialmethod, wraps
+from functools import lru_cache, wraps
 from itertools import product
 from types import SimpleNamespace
 
@@ -229,12 +229,12 @@ class Jet:
         """
         h = self.coeffs.copy()
         h[0] = 0.0
-        out = np.zeros_like(h)
+        out = np.zeros(h.shape)
         out[0] = derivs[0]
         powers = _space(self.dim, self.order)[5]
         for k in range(1, len(derivs)):
             power = h if k == 1 else _product(powers[k - 2], power, h)
-            out = out + power * (derivs[k] / math.factorial(k))
+            out += power * (derivs[k] / math.factorial(k))
         return _jet(self.dim, self.order, out)
 
     # -- derivative tensors -------------------------------------------
@@ -247,10 +247,10 @@ class Jet:
         c = self.coeffs
         return (c.T[..., slots] if c.ndim > 1 else c[slots]) * scale
 
-    gradient = partialmethod(_tensor, 1)
-    hessian = partialmethod(_tensor, 2)
-    third_tensor = partialmethod(_tensor, 3)
-    fourth_tensor = partialmethod(_tensor, 4)
+    def gradient(self): return self._tensor(1)
+    def hessian(self): return self._tensor(2)
+    def third_tensor(self): return self._tensor(3)
+    def fourth_tensor(self): return self._tensor(4)
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"

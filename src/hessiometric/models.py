@@ -24,7 +24,7 @@ import numpy as np
 from . import expr
 from .errors import DomainError, ModelSchemaError
 from .expr import Ast
-from .jets import Jet
+from .jets import Jet, _jet
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,15 @@ class PotentialModel:
         return inside
 
     def _values(self, x):
-        """Order-0 environment at ``x`` (a batch for points (P, dim))."""
-        return expr.environment(self.coordinates, self.parameters, x.T,
-                                np.eye(self.dim), order=0)
+        """Order-0 environment at ``x``: for one point the coordinates and parameters
+        as floats, with a bare order-0 jet to shape the walk; a batch for (P, dim)."""
+        if x.ndim > 1:
+            return expr.environment(self.coordinates, self.parameters, x.T,
+                                    np.eye(self.dim), order=0)
+        env = dict(zip(self.coordinates, x.tolist()))
+        env[expr._SHAPE] = _jet(self.dim, 0, np.zeros(1))
+        env.update((name, float(value)) for name, value in self.parameters.items())
+        return env
 
     def _positive(self, constraint: Ast, x, env):
         try:
@@ -85,9 +91,9 @@ class PotentialModel:
 
     def require_domain(self, point) -> None:
         """Raise DomainError unless :meth:`domain_check` holds (everywhere)."""
-        inside = np.atleast_1d(self.domain_check(point))
-        if not inside.all():
-            bad = np.atleast_2d(np.asarray(point))[~inside][0]
+        inside = self.domain_check(point)
+        if not (inside if isinstance(inside, bool) else inside.all()):
+            bad = np.atleast_2d(np.asarray(point))[~np.atleast_1d(inside)][0]
             raise DomainError(f"point {bad.tolist()} violates "
                               f"the domain of model {self.name!r}")
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import expr
 from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
-from .geometry import _amax, hessian_metric, require_finite
+from .geometry import _amax, hessian_metric
 from .jets import Jet, _item
 from .models import PotentialModel
 
@@ -35,23 +35,16 @@ class SliceSpec:
     constants: np.ndarray    # c, (n-r,)
     chart: np.ndarray        # T, n x n, last n-r rows equal B
     chart_inv: np.ndarray
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.constraints.shape[1]
+    offset: np.ndarray       # the ambient point of z = 0
 
     @property
     def slice_dim(self) -> int:
-        return self.ambient_dim - self.constraints.shape[0]
+        return self.constraints.shape[1] - self.constraints.shape[0]
 
     @property
     def jacobian(self) -> np.ndarray:
         """Constant Jacobian of the embedding z -> x (n x r)."""
         return self.chart_inv[:, : self.slice_dim]
-
-    @property
-    def offset(self) -> np.ndarray:
-        return self.chart_inv[:, self.slice_dim:] @ self.constants
 
     def embed(self, z) -> np.ndarray:
         """Ambient point(s) of z, (r,) or (P, r), each rounded as alone."""
@@ -64,7 +57,7 @@ class SliceSpec:
         return (self.chart @ x)[: self.slice_dim]
 
 
-def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
+def make_slice(B, c) -> SliceSpec:
     """Build a slice spec from constraints Bx = c.
 
     The adapted chart completes B with standard basis vectors chosen by
@@ -77,11 +70,7 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if not (np.isfinite(B).all() and np.isfinite(c).all()):
         raise DomainError("slice constraints and constants must be finite")
-    m, nb = B.shape
-    if n is None:
-        n = nb
-    if n != nb:
-        raise ValueError(f"B has {nb} columns, expected {n}")
+    m, n = B.shape
     if c.shape != (m,):
         raise ValueError(f"constants have shape {c.shape}, expected ({m},)")
     if m >= n:
@@ -110,7 +99,8 @@ def make_slice(B, c, n: Optional[int] = None) -> SliceSpec:
         rows[i] = e - q_rows @ (q_rows.T @ e)
     T = np.vstack([rows, B])
     T_inv = np.linalg.inv(T)
-    return SliceSpec(constraints=B, constants=c, chart=T, chart_inv=T_inv)
+    return SliceSpec(constraints=B, constants=c, chart=T, chart_inv=T_inv,
+                     offset=T_inv[:, r:] @ c)
 
 
 # -- pulled-back potential and metric ----------------------------------
@@ -167,14 +157,10 @@ def pullback_metric(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> 
 def _pullback(model: PotentialModel, sl: SliceSpec, z, x, order: int = 4) -> PullbackData:
     """:func:`pullback_metric` at points x = embed(z) known to be inside
     the domain (no domain check)."""
-    jet = _pullback_jet(model, sl, x, order)
-    gbar = jet.hessian()
-    dgbar = jet.third_tensor() if order > 2 else None
-    d2gbar = jet.fourth_tensor() if order > 3 else None
-    require_finite("pulled-back metric", gbar, dgbar, d2gbar)
-    return PullbackData(slice=sl, z=z, x=x,
-                        potential=jet.value, gradient=jet.gradient(),
-                        gbar=gbar, dgbar=dgbar, d2gbar=d2gbar, model=model)
+    jet = _pullback_jet(model, sl, x, order)  # its derivatives are finite
+    return PullbackData(slice=sl, z=z, x=x, potential=jet.value, gradient=jet.gradient(),
+                        gbar=jet.hessian(), dgbar=jet.third_tensor() if order > 2 else None,
+                        d2gbar=jet.fourth_tensor() if order > 3 else None, model=model)
 
 
 # -- Levi-Civita connection and curvature ------------------------------
@@ -210,7 +196,8 @@ def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
         raise DegenerateSliceError(
             f"pulled-back metric is singular at z={pb.z.tolist()} "
             f"(eigenvalues {lam.tolist()})")
-    ginv = np.linalg.inv(np.where(singular[..., None, None], np.eye(len(lam.T)), pb.gbar))
+    ginv = np.linalg.inv(pb.gbar if singular.ndim == 0 else
+                         np.where(singular[..., None, None], np.eye(len(lam.T)), pb.gbar))
     # each entry is one jet slot, so this equals the general formula's (t + t) - t
     # for finite |t| <= DBL_MAX/2 up to the sign of zero, which the contractions drop
     low, dlow = 0.5 * pb.dgbar, 0.5 * pb.d2gbar
@@ -252,7 +239,8 @@ def _flatness(gamma, dgamma, k, d, b1, b2):
 @dataclass
 class CurvatureReport:
     """Curvature of the induced metric at a slice point (arrays for a batch);
-    ``residuals`` (antisymmetry, Bianchi, metric compatibility) is computed when read."""
+    ``dual_flatness`` and ``residuals`` (antisymmetry, Bianchi, metric
+    compatibility) are computed when read."""
 
     z: np.ndarray
     metric: np.ndarray
@@ -260,8 +248,13 @@ class CurvatureReport:
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
-    dual_flatness: float      # :meth:`Connection.dual_flatness`
     pullback: PullbackData = field(repr=False)
+    parts: tuple = field(repr=False)  # (D, B1, B2) of :func:`_riemann_parts`
+
+    @property
+    def dual_flatness(self):
+        """:meth:`Connection.dual_flatness`, from the Riemann parts of this report."""
+        return _flatness(self.connection.gamma, self.connection.dgamma, 2.0, *self.parts)
 
     @property
     def residuals(self) -> Mapping[str, float]:
@@ -280,17 +273,15 @@ class CurvatureReport:
 
 def curvature(pb: PullbackData) -> CurvatureReport:
     """Riemann, Ricci and scalar curvature of the induced metric at a
-    slice point, and the dual flatness from the same Riemann parts
+    slice point, and, when read, the dual flatness from the same Riemann parts
     (arrays for a batch, meaningless where ``connection.singular``)."""
     conn = connection(pb)
     d, b1, b2 = _riemann_parts(conn.gamma, conn.dgamma)
     riemann = d + b1 - b2
     ricci = np.einsum("...abad->...bd", riemann)
     scalar = np.einsum("...bd,...bd->...", conn.ginv, ricci)
-    return CurvatureReport(z=pb.z, metric=pb.gbar, connection=conn,
-                           riemann=riemann, ricci=ricci, scalar=_item(scalar),
-                           dual_flatness=_flatness(conn.gamma, conn.dgamma, 2.0, d, b1, b2),
-                           pullback=pb)
+    return CurvatureReport(z=pb.z, metric=pb.gbar, connection=conn, riemann=riemann,
+                           ricci=ricci, scalar=_item(scalar), pullback=pb, parts=(d, b1, b2))
 
 
 def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray):

@@ -71,6 +71,29 @@ def test_a_tolerance_the_subcommand_does_not_read_is_a_usage_error(argv, capsys)
     assert "unrecognized arguments: --tol-" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-check"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "-1", "-1e-300", "abc"])
+def test_a_tolerance_must_be_finite_and_non_negative(command, flag, value, capsys):
+    # a non-finite tolerance would print as Infinity or NaN in the JSON, and a
+    # negative one fails a residual of 0.0
+    argv = [command, "ideal_gas", f"{flag}={value}"] + (["--point", "1,1,1"] if command == "check"
+                                                       else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_MODEL_ERROR
+    assert f"argument {flag}: invalid tolerance value: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-0", "1e300"])
+def test_a_finite_non_negative_tolerance_is_printed_as_given(value, capsys):
+    code, out, _ = run_cli(["check", "ideal_gas", "--point", "1,1,1", "--no-timestamp",
+                            f"--tol-rank={value}", f"--tol-check={value}"], capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    checks = json.loads(out, parse_constant=pytest.fail)["checks"]
+    assert {c["tolerance"] for c in checks} == {float(value)}
+
+
 def test_no_timestamp_reruns_are_byte_identical(capsys):
     argv = ["check", "paramagnet", "--no-timestamp", "--point", "1,0.2,1"]
     _, first, _ = run_cli(argv, capsys)

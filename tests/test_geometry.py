@@ -14,6 +14,7 @@ from hessiometric.geometry import (MetricField, codazzi_residual, euler_defect,
                                    gibbs_duhem_residual, hessian_metric, kernel,
                                    psd_check)
 from hessiometric.jets import _space
+from hessiometric.submanifold import make_slice, pullback_metric
 
 SYN_RANK2 = json.dumps({
     "name": "two_block",
@@ -117,6 +118,21 @@ def test_metric_field_equals_the_lower_slots_of_an_order_four_jet(name):
             assert np.array_equal(np.signbit(ours), np.signbit(full))
 
 
+@np.errstate(over="ignore")  # the factorial scaling overflows on purpose
+def test_a_derivative_that_overflows_only_by_its_factorial_is_caught_at_the_walk():
+    # 1e308 (x - 1)^2 at x = 1: every Taylor coefficient is finite, the second
+    # derivative 2e308 is not; order 1 scales no coefficient
+    model = load_model(json.dumps({"name": "q", "coordinates": ["x", "y", "z"],
+                                   "entropy": "1e308*(x - 1)^2 + y + z", "domain": ["x"]}))
+    sl = make_slice([0, 0, 1], [1])
+    for call in (lambda: model.potential_jet([1, 1, 1], order=2),
+                 lambda: hessian_metric(model, [1, 1, 1]),
+                 lambda: pullback_metric(model, sl, [1, 1])):
+        with pytest.raises(DomainError, match="^expression value or derivatives are not finite$"):
+            call()
+    assert euler_defect(model, [1, 1, 1]) == 0.0
+
+
 def test_metric_domain_violation():
     with pytest.raises(DomainError):
         hessian_metric(builtin("ideal_gas"), [-1, 1, 1])
@@ -145,6 +161,50 @@ def test_kernel_zero_matrix():
     kb = kernel(mf)
     assert kb.rank == 0
     assert np.allclose(kb.basis, np.eye(3))
+
+
+def _kernel_reference(g, tol_rel):
+    """One point's kernel as a loop: the null columns of ``eigh``, then each
+    row's first entry of magnitude above 1e-14 made positive."""
+    eigenvalues, eigenvectors = np.linalg.eigh(g)
+    lam_max = float(np.max(np.abs(eigenvalues)))
+    null = (np.abs(eigenvalues) <= tol_rel * lam_max) | (lam_max == 0.0)
+    basis = eigenvectors[:, null].T.copy()
+    for row in basis:
+        for x in row:
+            if abs(x) > 1e-14:
+                if x < 0:
+                    row *= -1.0
+                break
+    return len(eigenvalues) - int(np.count_nonzero(null)), basis, eigenvalues
+
+
+@pytest.mark.parametrize("tol_rel", [1e-9, 0.0, 0.5])
+def test_kernel_of_a_batch_equals_the_per_point_loop(tol_rel):
+    # one null mask and sign fix over the whole batch: leading zeros and
+    # entries below 1e-14, negative leads, the zero matrix and rank 1
+    rng = np.random.default_rng(23)
+    q = np.linalg.qr(rng.normal(size=(30, 3, 3)))[0]
+    spectra = rng.choice([0.0, 1e-17, -0.5, 1.0, 2.0, 3.0], size=(30, 3))
+    gs = np.vstack([q @ (spectra[..., None] * q.swapaxes(-1, -2)),
+                    [np.diag([0.0, 1.0, 2.0]), np.diag([1.0, 0.0, 0.0]), np.zeros((3, 3)),
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+                     [[2.0, 0.0, 1e-15], [0.0, 0.0, 0.0], [1e-15, 0.0, 1.0]]]])
+    gs = (gs + gs.swapaxes(-1, -2)) / 2
+
+    def field(g):
+        return MetricField(point=np.zeros(g.shape[:-1]), g=g, dg=None, potential=None,
+                           gradient=None)
+
+    batch = kernel(field(gs), tol_rel)
+    for g, kb in zip(gs, batch):
+        rank, basis, eigenvalues = _kernel_reference(g, tol_rel)
+        for got in (kb, kernel(field(g), tol_rel)):
+            assert got.rank == rank
+            assert np.array_equal(got.basis, basis)
+            assert np.array_equal(np.signbit(got.basis), np.signbit(basis))
+            assert np.array_equal(got.eigenvalues, eigenvalues)
+    assert len({kb.rank for kb in batch}) > 1
 
 
 def test_kernel_eigen_residual():

@@ -179,11 +179,18 @@ def test_value_only_domain_mask_matches_order_one():
                                     "entropy": "3", "domain": ["1"]}))
     overflows = load_model(json.dumps({"name": "o", "coordinates": ["x", "y", "z"],
                                        "entropy": "x + y + z", "domain": ["x*y", "z"]}))
-    for model in [builtin(name) for name in BUILTIN_NAMES] + [always, overflows]:
+    # a negated constant (a jet with -0.0 slots), a constant that folds to inf
+    # (and stays a jet), and a product that underflows to 0 at small z
+    edges = load_model(json.dumps({"name": "e", "coordinates": ["x", "y", "z"],
+                                   "entropy": "x + y + z",
+                                   "domain": ["-(-2) - y", "1/(1e308*10) + x",
+                                              "1e-160*z*1e-160"]}))
+    for model in [builtin(name) for name in BUILTIN_NAMES] + [always, overflows, edges]:
         points = np.vstack([rng.uniform(-1.0, 2.5, size=(40, 3)),
                             [[0.0, 0.0, 0.0], [1.0, 0.5, 0.4], [1.0, 0.5, 0.5],
                              [1e308, 1.0, 1.0], [1e-200, 1.0, 1.0],
-                             [1e200, 1e200, 1.0]]])
+                             [1e200, 1e200, 1.0], [1.0, 1.0, 1e-5],
+                             [-0.0, 1.0, 1.0], [1.0, -0.0, 0.5], [0.5, 0.5, -0.0]]])
         expected = [_order1_inside(model, p) for p in points]
         assert [model.domain_check(p) for p in points] == expected
         assert model.domain_check(points).tolist() == expected
