@@ -285,7 +285,7 @@ def environment(variables: Sequence[str], params: Mapping[str, float], values,
             fold = len(x) > 0 and x[0] != 0.0 and x.count(x[0]) == len(x)
             x = x[0] if fold else x
         env[name] = x if fold else jet
-    env.update((name, float(value)) for name, value in params.items())
+    env.update({name: float(value) for name, value in params.items()})
     return env
 
 

@@ -75,8 +75,8 @@ def _pointwise(fn, *arrays):
 
 def kernel(mf: MetricField, tol_rel: float = 1e-9):
     """Eigendecomposition-based kernel of the flat map at a point, or one
-    :class:`KernelBasis` per point of a batch, from one ``eigh`` and one null
-    mask and sign fix over all points.
+    :class:`KernelBasis` per point of a batch, from one ``eigh``, one null mask
+    and one sign-fix pass over the null rows of all points.
 
     An eigenvalue counts as zero iff |lambda| <= tol_rel * lambda_max.
     """
@@ -87,13 +87,13 @@ def kernel(mf: MetricField, tol_rel: float = 1e-9):
     # the null rows of every point, in order (eigh returns ascending
     # eigenvalues); each row's first entry of magnitude above 1e-14 is made positive
     basis = eigenvectors.swapaxes(-1, -2)[null]
-    lead = basis[np.arange(len(basis)), (np.abs(basis) > 1e-14).argmax(axis=-1)]
-    np.negative(basis, out=basis, where=lead[:, None] < -1e-14)
-    n = null.shape[-1]
+    for row, entries in zip(basis, basis.tolist()):
+        if next((x for x in entries if abs(x) > 1e-14), 0.0) < 0:
+            row *= -1.0
     if null.ndim == 1:
-        return KernelBasis(rank=n - len(basis), basis=basis, eigenvalues=eigenvalues)
+        return KernelBasis(rank=len(null) - len(basis), basis=basis, eigenvalues=eigenvalues)
     ends = np.cumsum(null.sum(axis=1)).tolist()
-    return [KernelBasis(rank=n - (stop - start), basis=basis[start:stop], eigenvalues=lam)
+    return [KernelBasis(rank=len(lam) - (stop - start), basis=basis[start:stop], eigenvalues=lam)
             for start, stop, lam in zip([0] + ends, ends, eigenvalues)]
 
 

@@ -77,11 +77,10 @@ def affine_jets(values, gradients, order):
     """Jets of k affine functions from one coefficient block: values (k,)
     or (k, P) for a batch, gradients (k, dim)."""
     dim = gradients.shape[1]
-    indices, _, _, _, tensors, _ = _space(dim, order)
-    block = np.zeros((len(values), len(indices)) + values.shape[1:])
+    block = np.zeros((len(values), len(_space(dim, order)[0])) + values.shape[1:])
     block[:, 0] = values
-    if order:
-        block[:, tensors[0][0]] = gradients if values.ndim == 1 else gradients[..., None]
+    if order:  # graded-lex order puts the derivative along x_i in slot dim - i
+        block[:, dim:0:-1] = gradients if values.ndim == 1 else gradients[..., None]
     return [_jet(dim, order, coeffs) for coeffs in block]
 
 

@@ -71,8 +71,7 @@ class PotentialModel:
         return inside
 
     def _values(self, x):
-        """Order-0 environment at ``x``: for one point the coordinates and parameters
-        as floats, with a bare order-0 jet to shape the walk; a batch for (P, dim)."""
+        """Order-0 environment at ``x``: floats and a bare order-0 jet, a batch for (P, dim)."""
         if x.ndim > 1:
             return expr.environment(self.coordinates, self.parameters, x.T,
                                     np.eye(self.dim), order=0)

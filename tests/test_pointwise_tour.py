@@ -11,7 +11,6 @@ of arithmetic order is meant, see ROADMAP.md) with
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,4 +87,4 @@ def test_pointwise_tour_keeps_its_bytes():
 
 
 if __name__ == "__main__":
-    sys.exit(GOLDEN_TOUR.write_text(tour_text(), encoding="utf-8") and 0)
+    GOLDEN_TOUR.write_text(tour_text(), encoding="utf-8")
