@@ -221,9 +221,27 @@ def _walk(ast, env, like):
     """Jet of ``ast``, or a float c for a constant subtree: every operation
     on c rounds exactly as on ``like.constant_like(c)``.  A constant whose
     jet would carry nonzero slots (-0.0 after a negation, NaN when it is
-    not finite) stays a jet."""
+    not finite) stays a jet; as an exponent only its value is read."""
     if isinstance(ast, Name):
         return env[ast.name]
+    if isinstance(ast, BinOp):
+        left = _walk(ast.left, env, like)
+        right = _walk(ast.right, env, like)
+        if ast.op == "^" and isinstance(right, Jet):
+            c = right.coeffs  # an exponent constant over the batch uses the power rule
+            if not c[1:].any() and (c.ndim == 1 or c[0].size and (c[0] == c[0, 0]).all()):
+                right = float(c.flat[0])
+        if isinstance(left, float) and isinstance(right, float):
+            value = _FOLD[ast.op](left, right, like.order)
+            if math.isfinite(value):
+                return value
+            left = like.constant_like(left)
+            right = right if ast.op == "^" else like.constant_like(right)
+        if ast.op in _ARITHMETIC:
+            return _ARITHMETIC[ast.op](left, right)
+        if isinstance(right, float):
+            return jets.pow_const(left, right)
+        return (like.constant_like(left) if isinstance(left, float) else left) ** right
     if isinstance(ast, Num):
         return float(ast.value)
     if isinstance(ast, Neg):
@@ -237,26 +255,7 @@ def _walk(ast, env, like):
                 return value
             arg = like.constant_like(arg)
         return _CALLS[ast.fn](arg)
-    if not isinstance(ast, BinOp):
-        raise TypeError(f"not an AST node: {ast!r}")
-    left = _walk(ast.left, env, like)
-    right = _walk(ast.right, env, like)
-    if isinstance(left, float) and isinstance(right, float):
-        value = _FOLD[ast.op](left, right, like.order)
-        if math.isfinite(value):
-            return value
-        left, right = like.constant_like(left), like.constant_like(right)
-    if ast.op in _ARITHMETIC:
-        return _ARITHMETIC[ast.op](left, right)
-    if isinstance(right, float):
-        return jets.pow_const(left, right)
-    if isinstance(left, float):
-        left = like.constant_like(left)
-    # an exponent constant over the batch uses the power rule
-    c = right.coeffs
-    if not c[1:].any() and (c.ndim == 1 or c[0].size and (c[0] == c[0, 0]).all()):
-        return jets.pow_const(left, c.flat[0])
-    return left ** right
+    raise TypeError(f"not an AST node: {ast!r}")
 
 
 def eval_finite(ast: Ast, env: Mapping[str, Jet]) -> Jet:

@@ -230,7 +230,8 @@ def _same_outcome(ast, variables, point, params, order):
 _EDGE_EXPRESSIONS = ["2^U", "ln(2)*U", "(-2)*U - 0*V + N/3", "3", "1",
                      "-U - -0", "-U + -(c+1)", "U/1e100", "2^-3*U + exp(-1e400)",
                      "exp(U - 1e400*2)", "(U + exp(1e400))^0", "U/1e-63",
-                     "U^(V-V) - 5/3"]
+                     "U^(V-V) - 5/3", "U*0.5^-(c+1)", "2^-(1/2)*U", "(-2)^-(1.5)*U + V",
+                     "0^-(1)*U + 1"]
 
 
 @settings(max_examples=60, deadline=None)
