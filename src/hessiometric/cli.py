@@ -24,15 +24,9 @@ from .errors import DomainError, HessiometricError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_MODEL_ERROR = 2
-EXIT_DOMAIN_ERROR = 3
+EXIT_MODEL_ERROR = HessiometricError.exit_code
+EXIT_DOMAIN_ERROR = DomainError.exit_code
 _BLOCK = 1024  # points per batched evaluation: bounds a large call's memory
-
-
-class _CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
 
 
 def _resolve_model(arg: str) -> models.PotentialModel:
@@ -40,18 +34,18 @@ def _resolve_model(arg: str) -> models.PotentialModel:
     if path.is_file():
         try:
             return models.load_model(path.read_text(encoding="utf-8"))
-        except HessiometricError as e:
-            raise _CliError(f"cannot load model {arg}: {e}", EXIT_MODEL_ERROR)
+        except (HessiometricError, UnicodeDecodeError) as e:
+            raise HessiometricError(f"cannot load model {arg}: {e}")
     if arg in models.BUILTIN_NAMES:
         return models.builtin(arg)
-    raise _CliError(f"no such model file or builtin: {arg}", EXIT_MODEL_ERROR)
+    raise HessiometricError(f"no such model file or builtin: {arg}")
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",")])
     except ValueError:
-        raise _CliError(f"malformed point {text!r}", EXIT_MODEL_ERROR)
+        raise HessiometricError(f"malformed point {text!r}")
 
 
 def _collect_points(args, dim) -> list:
@@ -63,18 +57,18 @@ def _collect_points(args, dim) -> list:
                     if row:
                         points.append(np.array([float(v) for v in row]))
         except (OSError, ValueError) as e:
-            raise _CliError(f"cannot read points file: {e}", EXIT_MODEL_ERROR)
+            raise HessiometricError(f"cannot read points file: {e}")
     return _require_points(points, dim, "--point or --points", "model")
 
 
 def _require_points(points, dim, options, space):
     """``points``, each of ``dim`` components, checked before any evaluation."""
     if not points:
-        raise _CliError(f"no points given (use {options})", EXIT_MODEL_ERROR)
+        raise HessiometricError(f"no points given (use {options})")
     for p in points:
         if p.shape[0] != dim:
-            raise _CliError(f"point {p.tolist()} has {p.shape[0]} components, "
-                            f"{space} dimension is {dim}", EXIT_MODEL_ERROR)
+            raise HessiometricError(f"point {p.tolist()} has {p.shape[0]} components, "
+                                     f"{space} dimension is {dim}")
     return points
 
 
@@ -82,23 +76,21 @@ def _parse_slice(text: str, dim: int) -> submanifold.SliceSpec:
     rows, consts = [], []
     for row_text in text.split(";"):
         if "=" not in row_text:
-            raise _CliError(f"slice row {row_text!r} lacks '=c'",
-                            EXIT_MODEL_ERROR)
+            raise HessiometricError(f"slice row {row_text!r} lacks '=c'")
         coeffs, _, const = row_text.partition("=")
         rows.append(_parse_vector(coeffs))
         try:
             consts.append(float(const))
         except ValueError:
-            raise _CliError(f"malformed slice constant {const!r}",
-                            EXIT_MODEL_ERROR)
+            raise HessiometricError(f"malformed slice constant {const!r}")
     B = np.vstack(rows)
     if B.shape[1] != dim:
-        raise _CliError(f"slice rows have {B.shape[1]} entries, model "
-                        f"dimension is {dim}", EXIT_MODEL_ERROR)
+        raise HessiometricError(f"slice rows have {B.shape[1]} entries, model "
+                                 f"dimension is {dim}")
     try:
         return submanifold.make_slice(B, np.array(consts))
-    except HessiometricError as e:
-        raise _CliError(str(e), EXIT_MODEL_ERROR)
+    except DomainError as e:  # a non-finite constraint is a usage error
+        raise HessiometricError(str(e))
 
 
 def _blocks(fn, points):
@@ -162,25 +154,29 @@ def _apply_euler_spread(entries, tol_check):
             e["verdict"] = "pass" if ok else "fail"
 
 
-def _run_check(model, points, tol_rank, tol_check, with_timestamp):
+def _run_check(model, points, tol_rank, tol_check):
     checks = [entry for entries in _blocks(
         lambda p: _point_checks(model, p, tol_rank, tol_check), points) for entry in entries]
     _apply_euler_spread(checks, tol_check)
-    report = {"model": model.name, "version": __version__}
-    if with_timestamp:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    report["checks"] = checks
     code = EXIT_OK if all(c["verdict"] == "pass" for c in checks) \
         else EXIT_CHECK_FAILED
-    return report, code
+    return checks, code
+
+
+def _print_document(model, args, **body):
+    """JSON document of ``check`` and ``legendre``: the header
+    {model, version, timestamp unless --no-timestamp}, then ``body``."""
+    doc = {"model": model.name, "version": __version__}
+    if not args.no_timestamp:
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    print(json.dumps({**doc, **body}, indent=2))
 
 
 def cmd_check(args) -> int:
     model = _resolve_model(args.model)
     points = _collect_points(args, model.dim)
-    report, code = _run_check(model, points, args.tol_rank, args.tol_check,
-                              not args.no_timestamp)
-    print(json.dumps(report, indent=2))
+    checks, code = _run_check(model, points, args.tol_rank, args.tol_check)
+    _print_document(model, args, checks=checks)
     return code
 
 
@@ -191,18 +187,17 @@ def _parse_grid(text: str, r: int):
     for part in text.split(","):
         pieces = part.split(":")
         if len(pieces) != 3:
-            raise _CliError(f"malformed grid axis {part!r} "
-                            "(expected min:max:count)", EXIT_MODEL_ERROR)
+            raise HessiometricError(f"malformed grid axis {part!r} "
+                                     "(expected min:max:count)")
         try:
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError:
-            raise _CliError(f"malformed grid axis {part!r}", EXIT_MODEL_ERROR)
+            raise HessiometricError(f"malformed grid axis {part!r}")
         if count < 1:
-            raise _CliError("grid count must be >= 1", EXIT_MODEL_ERROR)
+            raise HessiometricError("grid count must be >= 1")
         axes.append(np.linspace(lo, hi, count))
     if len(axes) != r:
-        raise _CliError(f"grid has {len(axes)} axes, slice dimension is {r}",
-                        EXIT_MODEL_ERROR)
+        raise HessiometricError(f"grid has {len(axes)} axes, slice dimension is {r}")
     return np.array(list(product(*axes)))
 
 
@@ -239,7 +234,7 @@ def cmd_curvature(args) -> int:
         try:
             Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         except OSError as e:
-            raise _CliError(f"cannot write {args.out}: {e}", EXIT_MODEL_ERROR)
+            raise HessiometricError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -265,13 +260,9 @@ def cmd_legendre(args) -> int:
     points = _require_points([_parse_vector(p) for p in args.point or []],
                              sl.slice_dim, "--point", "slice")
     entries = _blocks(lambda z: _legendre_entries(model, sl, z), points)
-    out = {"model": model.name, "version": __version__}
-    if not args.no_timestamp:
-        out["timestamp"] = datetime.now(timezone.utc).isoformat()
-    out["slice"] = {"constraints": sl.constraints.tolist(),
-                    "constants": sl.constants.tolist()}
-    out["points"] = entries
-    print(json.dumps(out, indent=2))
+    _print_document(model, args, slice={"constraints": sl.constraints.tolist(),
+                                         "constants": sl.constants.tolist()},
+                    points=entries)
     return EXIT_OK
 
 
@@ -282,12 +273,10 @@ def cmd_report(args) -> int:
     lattice = np.array(list(product((0.5, 1.0, 2.0), repeat=model.dim)))
     points = lattice[model.domain_check(lattice)]
     if not len(points):
-        raise _CliError("no lattice point lies in the model domain",
-                        EXIT_DOMAIN_ERROR)
-    report, code = _run_check(model, points, args.tol_rank, args.tol_check,
-                              with_timestamp=False)
+        raise DomainError("no lattice point lies in the model domain")
+    checks, code = _run_check(model, points, args.tol_rank, args.tol_check)
     by_check = {}
-    for entry in report["checks"]:
+    for entry in checks:
         stats = by_check.setdefault(entry["check"],
                                     {"pass": 0, "fail": 0, "worst": 0.0})
         stats[entry["verdict"]] += 1
@@ -368,15 +357,9 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # the errors below report what numpy warns of
             return args.func(args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
     except HessiometricError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL_ERROR
+        return e.exit_code
 
 
 def run():

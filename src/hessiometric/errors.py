@@ -2,13 +2,18 @@
 
 
 class HessiometricError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``exit_code`` is
+    the command line's exit status for it: 2, a model or usage error."""
+
+    exit_code = 2
 
 
 class DomainError(HessiometricError):
     """A point or argument lies outside the admissible domain
     (non-positive argument to ln/sqrt, division by zero, point
-    violating a model's domain constraints)."""
+    violating a model's domain constraints).  Exit status 3."""
+
+    exit_code = 3
 
 
 class ExprSyntaxError(HessiometricError):

@@ -55,10 +55,11 @@ Ast = Union[Num, Name, Neg, BinOp, Call]
 _FUNCTIONS = {"ln", "exp", "sqrt"}
 _ALIASES = {"log": "ln"}
 
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{IDENTIFIER})"
     r"|(?P<op>[-+*/^()])"
     r")"
 )
@@ -289,13 +290,14 @@ def environment(variables: Sequence[str], params: Mapping[str, float], values,
 
 
 def eval_jet(ast: Ast, variables: Sequence[str], point, params: Mapping[str, float],
-             order: int) -> Jet:
+             order: int, chart=None) -> Jet:
     """Jet of the expression at ``point``, with all derivatives through
-    ``order`` taken with respect to ``variables`` in the given order (a
-    batched jet for points of shape (P, len(variables)))."""
+    ``order`` taken in the affine chart z whose n x r Jacobian dx/dz is
+    ``chart`` (the identity, i.e. the ``variables`` in the given order, by
+    default); a batched jet for points of shape (P, len(variables))."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     if point.shape[-1] != len(variables):
         raise ValueError(f"point has {point.shape[-1]} components for "
                          f"{len(variables)} variables")
-    return eval_finite(ast, environment(variables, params, point.T,
-                                        np.eye(len(variables)), order))
+    chart = np.eye(len(variables)) if chart is None else chart
+    return eval_finite(ast, environment(variables, params, point.T, chart, order))

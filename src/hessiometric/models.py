@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping, Tuple
@@ -24,7 +25,7 @@ import numpy as np
 from . import expr
 from .errors import DomainError, ModelSchemaError
 from .expr import Ast
-from .jets import Jet, _jet
+from .jets import MAX_DIM, Jet, _jet
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,15 @@ class PotentialModel:
     def dim(self) -> int:
         return len(self.coordinates)
 
-    def entropy_jet(self, point, order: int = 4) -> Jet:
-        return expr.eval_jet(self.entropy, self.coordinates, point,
-                             self.parameters, order)
-
-    def potential_jet(self, point, order: int = 4) -> Jet:
-        """Jet of the potential (negative entropy) at ``point``."""
-        return -self.entropy_jet(point, order)
+    def potential_jet(self, point, order: int = 4, chart=None) -> Jet:
+        """Jet of the potential (negative entropy) at ``point``, in the affine
+        chart with Jacobian ``chart`` (n x r; the coordinates by default), as
+        :func:`expr.eval_jet`: a slice's chart gives its pulled-back potential."""
+        return -expr.eval_jet(self.entropy, self.coordinates, point,
+                              self.parameters, order, chart)
 
     def entropy_value(self, point) -> float:
-        return self.entropy_jet(point, order=1).value
+        return -self.potential_jet(point, order=1).value
 
     def domain_check(self, point):
         """True iff ``point`` is finite and every domain constraint is
@@ -147,10 +147,16 @@ def load_model(document: str) -> PotentialModel:
         raise ModelSchemaError("'coordinates' must be a non-empty list of strings")
     if len(set(coordinates)) != len(coordinates):
         raise ModelSchemaError("coordinate names must be distinct")
+    if len(coordinates) > MAX_DIM:
+        raise ModelSchemaError(f"at most {MAX_DIM} coordinates, got {len(coordinates)}")
     if (not isinstance(parameters, dict)
             or not all(isinstance(k, str) and isinstance(v, (int, float))
                        and not isinstance(v, bool) for k, v in parameters.items())):
         raise ModelSchemaError("'parameters' must map strings to numbers")
+    for key in [*coordinates, *parameters]:  # a parameter would shadow its coordinate
+        if not re.fullmatch(expr.IDENTIFIER, key) or (key in coordinates and key in parameters):
+            raise ModelSchemaError("coordinate and parameter names must be distinct "
+                                   f"identifiers ({expr.IDENTIFIER}), got {key!r}")
     if not isinstance(doc["entropy"], str):
         raise ModelSchemaError("'entropy' must be an expression string")
     if not isinstance(domain, list) or not all(isinstance(d, str) for d in domain):

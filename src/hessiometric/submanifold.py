@@ -16,14 +16,15 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import expr
 from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
 from .geometry import _amax, hessian_metric
-from .jets import Jet, _item
+from .jets import _item
 from .models import PotentialModel
 
 _EPS = 1e-300
+DEGENERATE_REL = 1e-9  # lambda_min / lambda_max of a slice metric counted singular
+MISMATCH_REL = 1e-8    # relative gap of the two dual potentials that flags a mismatch
 
 
 @dataclass(frozen=True)
@@ -134,14 +135,6 @@ class PullbackData:
                      / (np.max(np.abs(self.gbar)) + _EPS))
 
 
-def _pullback_jet(model: PotentialModel, sl: SliceSpec, x, order: int = 4) -> Jet:
-    """Jet in z of the pulled-back potential at x = embed(z), via affine
-    coordinate jets."""
-    env = expr.environment(model.coordinates, model.parameters, x.T,
-                           sl.jacobian, order)
-    return -expr.eval_finite(model.entropy, env)
-
-
 def pullback_metric(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> PullbackData:
     """Induced metric and its z-derivatives at a slice point (or a batch z
     of shape (P, r)), from one jet of the pulled-back potential of the given
@@ -157,7 +150,7 @@ def pullback_metric(model: PotentialModel, sl: SliceSpec, z, order: int = 4) -> 
 def _pullback(model: PotentialModel, sl: SliceSpec, z, x, order: int = 4) -> PullbackData:
     """:func:`pullback_metric` at points x = embed(z) known to be inside
     the domain (no domain check)."""
-    jet = _pullback_jet(model, sl, x, order)  # its derivatives are finite
+    jet = model.potential_jet(x, order, sl.jacobian)  # its derivatives are finite
     return PullbackData(slice=sl, z=z, x=x, potential=jet.value, gradient=jet.gradient(),
                         gbar=jet.hessian(), dgbar=jet.third_tensor() if order > 2 else None,
                         d2gbar=jet.fourth_tensor() if order > 3 else None, model=model)
@@ -178,20 +171,14 @@ class Connection:
     dgamma: np.ndarray
     singular: np.ndarray
 
-    def dual_flatness(self):
-        """Curvature residual of the dual connection 2*Gamma (the flat one
-        vanishes in the adapted affine chart); zero in exact arithmetic."""
-        return _flatness(self.gamma, self.dgamma, 2.0,
-                         *_riemann_parts(self.gamma, self.dgamma))
 
-
-def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
+def connection(pb: PullbackData) -> Connection:
     """Connection of the induced metric g = d^2 phi: its lowered symbols are half
     phi's third derivatives, their derivatives half the fourth.  Raises
-    DegenerateSliceError where lambda_min <= tol_rel * lambda_max, i.e. where the
-    slice is not transversal to the kernel (a batch flags ``singular``)."""
+    DegenerateSliceError where lambda_min <= DEGENERATE_REL * lambda_max, i.e. where
+    the slice is not transversal to the kernel (a batch flags ``singular``)."""
     lam = np.linalg.eigvalsh(pb.gbar)
-    singular = lam[..., 0] <= tol_rel * _amax(lam, 1)
+    singular = lam[..., 0] <= DEGENERATE_REL * _amax(lam, 1)
     if singular.ndim == 0 and singular:
         raise DegenerateSliceError(
             f"pulled-back metric is singular at z={pb.z.tolist()} "
@@ -209,14 +196,14 @@ def connection(pb: PullbackData, tol_rel: float = 1e-9) -> Connection:
                       singular=singular)
 
 
-def levi_civita(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
+def levi_civita(pb: PullbackData) -> np.ndarray:
     """gamma[c, a, b] = Gamma^c_ab (see :func:`connection`)."""
-    return connection(pb, tol_rel).gamma
+    return connection(pb).gamma
 
 
-def christoffel_derivatives(pb: PullbackData, tol_rel: float = 1e-9) -> np.ndarray:
+def christoffel_derivatives(pb: PullbackData) -> np.ndarray:
     """dgamma[e, c, a, b] = d_e Gamma^c_ab (see :func:`connection`)."""
-    return connection(pb, tol_rel).dgamma
+    return connection(pb).dgamma
 
 
 def _riemann_parts(gamma: np.ndarray, dgamma: np.ndarray):
@@ -253,7 +240,8 @@ class CurvatureReport:
 
     @property
     def dual_flatness(self):
-        """:meth:`Connection.dual_flatness`, from the Riemann parts of this report."""
+        """Curvature residual of the dual connection 2*Gamma, flat in the adapted
+        affine chart (zero in exact arithmetic), from this report's Riemann parts."""
         return _flatness(self.connection.gamma, self.connection.dgamma, 2.0, *self.parts)
 
     @property
@@ -291,8 +279,8 @@ def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray):
 
 
 def dual_flatness_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
-    """:meth:`Connection.dual_flatness` at a slice point."""
-    return connection(pullback_metric(model, sl, z)).dual_flatness()
+    """:attr:`CurvatureReport.dual_flatness` at a slice point."""
+    return curvature(pullback_metric(model, sl, z)).dual_flatness
 
 
 # -- Legendre duality --------------------------------------------------
@@ -305,10 +293,11 @@ class DualPotential:
     mismatch: bool
 
 
-def dual_potential(pb: PullbackData, mismatch_tol: float = 1e-8) -> DualPotential:
+def dual_potential(pb: PullbackData) -> DualPotential:
     """Legendre-dual potential of the slice at a slice point (arrays for a batch),
     from the transform of the pulled-back potential and from the extensivity
-    shortcut; a mismatch between the two flags a non-extensive model."""
+    shortcut; a mismatch between the two, above MISMATCH_REL relative to
+    1 + |value|, flags a non-extensive model."""
     sl, shape = pb.slice, np.shape(pb.potential)
     z, grad, grad_x = (np.ascontiguousarray(np.atleast_2d(a)) for a in (
         pb.z, pb.gradient, pb.model.potential_jet(pb.x, order=1).gradient()))
@@ -318,7 +307,7 @@ def dual_potential(pb: PullbackData, mismatch_tol: float = 1e-8) -> DualPotentia
     # or matmul sums in another order)
     value = _item(np.reshape([a @ b for a, b in zip(z, grad)], shape) - pb.potential)
     extensive_form = _item(np.reshape([-(sl.constants @ (trailing @ g)) for g in grad_x], shape))
-    mismatch = abs(value - extensive_form) > mismatch_tol * (1.0 + abs(value))
+    mismatch = abs(value - extensive_form) > MISMATCH_REL * (1.0 + abs(value))
     return DualPotential(value=value, extensive_form=extensive_form,
                          mismatch=mismatch)
 
@@ -328,7 +317,7 @@ def dual_coordinates(model: PotentialModel, sl: SliceSpec, z) -> np.ndarray:
     the dual Hessian structure (per point for a batch z of shape (P, r))."""
     x = sl.embed(z)
     model.require_domain(x)
-    return _pullback_jet(model, sl, x, order=1).gradient()
+    return model.potential_jet(x, 1, sl.jacobian).gradient()
 
 
 def legendre_invariance_residual(pb: PullbackData) -> float:

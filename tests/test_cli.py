@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import sample_points
-from hessiometric import cli, expr, geometry, models, submanifold
+from hessiometric import cli, errors, expr, geometry, models, submanifold
 from hessiometric.jets import Jet
 
 DATA = Path(__file__).parent / "data"
@@ -138,6 +138,48 @@ def test_exit_model_error_bad_schema(capsys):
                             "--point", "1,1"], capsys)
     assert code == cli.EXIT_MODEL_ERROR
     assert "error" in err
+
+
+def test_exit_model_error_schema_name(tmp_path, capsys):
+    # a parameter named like a coordinate: a usage error, not a rank-1 metric
+    model = tmp_path / "shadow.json"
+    model.write_text(json.dumps({"name": "shadow", "coordinates": ["U", "V"],
+                                 "parameters": {"U": 2}, "entropy": "ln(U)+ln(V)"}))
+    code, out, err = run_cli(["check", str(model), "--point", "1,1"], capsys)
+    assert (code, out) == (cli.EXIT_MODEL_ERROR, "")
+    assert err == (f"error: cannot load model {model}: coordinate and parameter names must "
+                   "be distinct identifiers ([A-Za-z][A-Za-z0-9_]*), got 'U'\n")
+
+
+def test_exit_model_error_model_file_not_utf8(tmp_path, capsys):
+    model = tmp_path / "latin1.json"
+    model.write_bytes(b'{"name": "caf\xe9", "coordinates": ["U"], "entropy": "ln(U)"}\xff')
+    code, out, err = run_cli(["check", str(model), "--point", "1"], capsys)
+    assert (code, out) == (cli.EXIT_MODEL_ERROR, "")
+    assert err.startswith(f"error: cannot load model {model}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+
+
+def _errors(cls):
+    return [cls] + [e for sub in cls.__subclasses__() for e in _errors(sub)]
+
+
+def test_each_error_type_carries_its_exit_code(monkeypatch, capsys):
+    # every HessiometricError exits 2 (model or usage), except DomainError: 3
+    raised = _errors(errors.HessiometricError)
+    assert len(raised) == 8
+    for cls in raised:
+        error = cls.__new__(cls)  # each with one message, whatever its constructor
+        Exception.__init__(error, f"a {cls.__name__}")
+
+        def resolve(arg, error=error):
+            raise error
+        monkeypatch.setattr(cli, "_resolve_model", resolve)
+        expected = 3 if issubclass(cls, errors.DomainError) else 2
+        assert cls.exit_code == expected
+        assert run_cli(["check", "ideal_gas", "--point", "1,1,1"], capsys) == (
+            expected, "", f"error: a {cls.__name__}\n")
+    assert (cli.EXIT_MODEL_ERROR, cli.EXIT_DOMAIN_ERROR) == (2, 3)
 
 
 def test_exit_model_error_malformed_slice(capsys):
@@ -364,7 +406,7 @@ def _rows_formatted_per_value(model, sl, zs):
     inside = np.flatnonzero(model.domain_check(sl.embed(zs)))
     report = submanifold.curvature(submanifold.pullback_metric(model, sl, zs[inside]))
     conn = report.connection
-    flatness = conn.dual_flatness()
+    flatness = submanifold.flatness_residual(2.0 * conn.gamma, 2.0 * conn.dgamma)
     for k, i in enumerate(inside):
         rows[i][-4:] = (["", "", "", "KERNEL"] if conn.singular[k] else
                         [fmt(report.scalar[k]), fmt(conn.eigenvalues[k, 0]),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from itertools import product
 
@@ -48,6 +49,35 @@ def test_load_duplicate_coordinates_rejected():
     doc = dict(IDEAL_GAS_DOC, coordinates=["U", "U", "N"])
     with pytest.raises(ModelSchemaError):
         load_model(json.dumps(doc))
+
+
+NINE = [f"x{i}" for i in range(9)]
+
+
+@pytest.mark.parametrize("changes, message", [
+    # more coordinates than a jet carries
+    ({"coordinates": NINE, "entropy": "+".join(f"ln({x})" for x in NINE)},
+     "at most 8 coordinates, got 9"),
+    # "" is no identifier: it would collide with the walk's own environment key
+    ({"coordinates": ["U", "", "N"]}, "got ''"),
+    ({"parameters": {"": 1.0}}, "got ''"),
+    # a parameter named like a coordinate would silently replace it
+    ({"parameters": {"V": 2.0}}, "got 'V'"),
+    # a name the parser cannot read would be silently dead
+    ({"coordinates": ["U", "U V", "N"]}, "got 'U V'"),
+    ({"parameters": {"R": 1.0, "2c": 1.5}}, "got '2c'"),
+])
+def test_load_rejects_names_the_expressions_cannot_mean(changes, message):
+    with pytest.raises(ModelSchemaError, match=re.escape(message)):
+        load_model(json.dumps(dict(IDEAL_GAS_DOC, **changes)))
+
+
+def test_load_accepts_eight_coordinates_with_underscores():
+    names = [f"x_{i}" for i in range(8)]
+    model = load_model(json.dumps({"name": "eight", "coordinates": names,
+                                   "entropy": "+".join(f"ln({x})" for x in names)}))
+    assert model.dim == 8
+    assert model.entropy_value([1.0] * 8) == 0.0
 
 
 def test_load_invalid_json():

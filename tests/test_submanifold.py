@@ -16,13 +16,12 @@ from helpers import (connection_reference, fd_scalar_curvature,
 from hessiometric import BUILTIN_NAMES, builtin, expr, jets, load_model
 from hessiometric.errors import (DegenerateSliceError, DomainError,
                                  RankDeficientError)
-from hessiometric.submanifold import (Connection, christoffel_derivatives,
-                                      connection, curvature, dual_coordinates,
-                                      dual_flatness_residual, dual_potential,
-                                      flatness_residual,
+from hessiometric.submanifold import (christoffel_derivatives, connection, curvature,
+                                      dual_coordinates, dual_flatness_residual,
+                                      dual_potential, flatness_residual,
                                       legendre_invariance_residual,
                                       levi_civita, make_slice, pullback_metric)
-from hessiometric.submanifold import _pullback_jet, _riemann_parts
+from hessiometric.submanifold import _flatness, _riemann_parts
 
 
 def random_interior_slice(rng, model, ndrop=1, box=(0.8, 1.5)):
@@ -354,7 +353,7 @@ def test_dual_flatness_equals_the_doubled_connection_residual():
             assert np.array_equal(expected, _doubled_connection_flatness(conn.gamma,
                                                                          conn.dgamma))
             assert np.array_equal(report.dual_flatness, expected)
-            assert np.array_equal(conn.dual_flatness(), expected)
+            assert np.array_equal(dual_flatness_residual(model, sl, z), expected)
 
 
 def _tensors(r, k):
@@ -367,10 +366,9 @@ def _tensors(r, k):
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
 def test_dual_flatness_from_parts_on_arbitrary_tensors(tensors):
     gamma, dgamma = tensors
-    conn = Connection(eigenvalues=None, ginv=None, gamma=gamma, dgamma=dgamma,
-                      singular=None)
     expected = _doubled_connection_flatness(gamma, dgamma)
-    assert np.array_equal(conn.dual_flatness(), expected, equal_nan=True)
+    assert np.array_equal(_flatness(gamma, dgamma, 2.0, *_riemann_parts(gamma, dgamma)),
+                          expected, equal_nan=True)
     assert np.array_equal(flatness_residual(2.0 * gamma, 2.0 * dgamma), expected,
                           equal_nan=True)
 
@@ -460,7 +458,7 @@ def _statuses_one_by_one(model, sl, zs):
             continue
         conn = report.connection
         out.append(("OK", report.scalar, conn.eigenvalues[0],
-                    conn.dual_flatness(), report.residuals["bianchi"]))
+                    report.dual_flatness, report.residuals["bianchi"]))
     return out
 
 
@@ -469,7 +467,7 @@ def _statuses_batched(model, sl, zs):
     inside = np.flatnonzero(model.domain_check(sl.embed(zs)))
     report = curvature(pullback_metric(model, sl, zs[inside]))
     conn = report.connection
-    flatness = conn.dual_flatness()
+    flatness = report.dual_flatness
     for k, i in enumerate(inside):
         out[i] = (("KERNEL",) if conn.singular[k] else
                   ("OK", report.scalar[k], conn.eigenvalues[k, 0], flatness[k],
@@ -520,7 +518,7 @@ def test_folded_slice_coordinates_match_affine_jets(name):
                                        sl.jacobian, order)
                 assert [i for i, c in enumerate(model.coordinates)
                         if isinstance(env[c], float)] == fixed
-                folded = _pullback_jet(model, sl, x, order).coeffs
+                folded = model.potential_jet(x, order, sl.jacobian).coeffs
                 env = dict(zip(model.coordinates, jets.affine_jets(x.T, sl.jacobian, order)))
                 env.update((k, float(v)) for k, v in model.parameters.items())
                 kept = (-expr.eval_finite(model.entropy, env)).coeffs
