@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -27,6 +26,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_MODEL_ERROR = HessiometricError.exit_code
 EXIT_DOMAIN_ERROR = DomainError.exit_code
 _BLOCK = 1024  # points per batched evaluation: bounds a large call's memory
+CHECK_TOL = 1e-8  # bound of the Gibbs-Duhem, Codazzi and Euler-spread residuals
 
 
 def _resolve_model(arg: str) -> models.PotentialModel:
@@ -83,70 +83,68 @@ def _parse_slice(text: str, dim: int) -> submanifold.SliceSpec:
             consts.append(float(const))
         except ValueError:
             raise HessiometricError(f"malformed slice constant {const!r}")
-    B = np.vstack(rows)
-    if B.shape[1] != dim:
-        raise HessiometricError(f"slice rows have {B.shape[1]} entries, model "
-                                 f"dimension is {dim}")
+    for row in rows:  # before stacking: rows of unequal length do not stack
+        if len(row) != dim:
+            raise HessiometricError(f"slice rows have {len(row)} entries, model "
+                                     f"dimension is {dim}")
     try:
-        return submanifold.make_slice(B, np.array(consts))
+        return submanifold.make_slice(np.vstack(rows), np.array(consts))
     except DomainError as e:  # a non-finite constraint is a usage error
         raise HessiometricError(str(e))
 
 
 def _blocks(fn, points):
-    """Per-point results of ``fn`` (a list for a batch (P, dim), the result for one
-    point (dim,)), one batched call per block of _BLOCK points.  A block that raises
-    reruns its points one at a time: the first failing point in input order decides."""
+    """Per-point results of ``fn``, which maps a batch (P, dim) to a list, from one
+    call per block of _BLOCK points.  A block that raises reruns its points as
+    batches of one: the first failing point in input order decides."""
     results = []
     for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
+        block = np.array(points[start:start + _BLOCK])
         try:
-            results += fn(np.array(block))
+            results += fn(block)
         except HessiometricError:
-            results += [fn(p) for p in block]
+            for i in range(len(block)):
+                results += fn(block[i:i + 1])
     return results
 
 
 # -- check -------------------------------------------------------------
 
-def _point_checks(model, points, tol_rank, tol_check):
-    """Entries of one point (n,), or per point of a batch (P, n), from one metric
-    jet and one call of each diagnostic."""
+def _point_checks(model, points):
+    """Entries per point of a batch (P, n), from one metric jet and one call of
+    each diagnostic."""
     mf = geometry.hessian_metric(model, points)
-    kb = geometry.kernel(mf, tol_rank)
     columns = [np.asarray(c).tolist() for c in (
-        mf.point, *geometry.psd_check(mf, tol_rank), geometry.gibbs_duhem_residual(mf),
+        mf.point, *geometry.psd_check(mf), geometry.gibbs_duhem_residual(mf),
         geometry.codazzi_residual(mf), mf.euler_defect)]
-    if points.ndim == 1:
-        return _entries(tol_rank, tol_check, kb, *columns)
-    return [_entries(tol_rank, tol_check, *row) for row in zip(kb, *columns)]
+    return [_entries(*row) for row in zip(geometry.kernel(mf), *columns)]
 
 
-def _entries(tol_rank, tol_check, kb, point, verdict_psd, lam_min, gd, cd, defect):
+def _entries(kb, point, verdict_psd, lam_min, gd, cd, defect):
     kernel_dim = len(point) - kb.rank
     checks = [
         ("psd", {"verdict": verdict_psd, "lambda_min": lam_min},
-         max(0.0, -lam_min), tol_rank, verdict_psd == "psd"),
+         max(0.0, -lam_min), geometry.NULL_REL, verdict_psd == "psd"),
         ("kernel", {"rank": kb.rank, "kernel_dim": kernel_dim,
                     "eigenvalues": kb.eigenvalues.tolist()},
-         float(kernel_dim == 0), tol_rank, kernel_dim >= 1),
-        ("gibbs_duhem", {"residual": gd}, gd, tol_check, gd <= tol_check),
-        ("codazzi", {"residual": cd}, cd, tol_check, cd <= tol_check),
+         float(kernel_dim == 0), geometry.NULL_REL, kernel_dim >= 1),
+        ("gibbs_duhem", {"residual": gd}, gd, CHECK_TOL, gd <= CHECK_TOL),
+        ("codazzi", {"residual": cd}, cd, CHECK_TOL, cd <= CHECK_TOL),
         # the spread verdict is filled in across points
-        ("euler_defect", {"defect": defect}, 0.0, tol_check, True)]
+        ("euler_defect", {"defect": defect}, 0.0, CHECK_TOL, True)]
     return [{"check": check, "point": point, "value": value, "residual": residual,
              "tolerance": tolerance, "verdict": "pass" if ok else "fail"}
             for check, value, residual, tolerance, ok in checks]
 
 
-def _apply_euler_spread(entries, tol_check):
+def _apply_euler_spread(entries):
     defects = [e["value"]["defect"] for e in entries
                if e["check"] == "euler_defect"]
     if len(defects) < 2:
         return
     spread = max(defects) - min(defects)
     scale = 1.0 + max(abs(d) for d in defects)
-    ok = spread <= tol_check * scale
+    ok = spread <= CHECK_TOL * scale
     for e in entries:
         if e["check"] == "euler_defect":
             e["value"]["spread"] = spread
@@ -154,10 +152,10 @@ def _apply_euler_spread(entries, tol_check):
             e["verdict"] = "pass" if ok else "fail"
 
 
-def _run_check(model, points, tol_rank, tol_check):
-    checks = [entry for entries in _blocks(
-        lambda p: _point_checks(model, p, tol_rank, tol_check), points) for entry in entries]
-    _apply_euler_spread(checks, tol_check)
+def _run_check(model, points):
+    checks = [entry for entries in _blocks(lambda p: _point_checks(model, p), points)
+              for entry in entries]
+    _apply_euler_spread(checks)
     code = EXIT_OK if all(c["verdict"] == "pass" for c in checks) \
         else EXIT_CHECK_FAILED
     return checks, code
@@ -175,7 +173,7 @@ def _print_document(model, args, **body):
 def cmd_check(args) -> int:
     model = _resolve_model(args.model)
     points = _collect_points(args, model.dim)
-    checks, code = _run_check(model, points, args.tol_rank, args.tol_check)
+    checks, code = _run_check(model, points)
     _print_document(model, args, checks=checks)
     return code
 
@@ -243,15 +241,15 @@ def cmd_curvature(args) -> int:
 # -- legendre ----------------------------------------------------------
 
 def _legendre_entries(model, sl, zs):
-    """JSON entries of slice points (P, r), or the entry of one point (r,),
-    from one order-2 pullback jet: its gradient is the dual coordinates."""
+    """JSON entries of slice points (P, r) from one order-2 pullback jet: its
+    gradient is the dual coordinates."""
     pb = submanifold.pullback_metric(model, sl, zs, order=2)
     dp = submanifold.dual_potential(pb)
     columns = {"z": pb.z, "phi_star": dp.value, "phi_star_extensive_form": dp.extensive_form,
                "extensive_mismatch": dp.mismatch, "dual_coordinates": pb.gradient,
                "invariance_residual": submanifold.legendre_invariance_residual(pb)}
     columns = {key: np.asarray(a).tolist() for key, a in columns.items()}
-    return columns if zs.ndim == 1 else [dict(zip(columns, r)) for r in zip(*columns.values())]
+    return [dict(zip(columns, r)) for r in zip(*columns.values())]
 
 
 def cmd_legendre(args) -> int:
@@ -274,7 +272,7 @@ def cmd_report(args) -> int:
     points = lattice[model.domain_check(lattice)]
     if not len(points):
         raise DomainError("no lattice point lies in the model domain")
-    checks, code = _run_check(model, points, args.tol_rank, args.tol_check)
+    checks, code = _run_check(model, points)
     by_check = {}
     for entry in checks:
         stats = by_check.setdefault(entry["check"],
@@ -293,13 +291,6 @@ def cmd_report(args) -> int:
 
 # -- entry point -------------------------------------------------------
 
-def tolerance(text: str) -> float:
-    """argparse type of the tolerances: finite and >= 0, else a usage error (exit 2)."""
-    if not 0.0 <= float(text) < math.inf:  # NaN or inf would print in the JSON
-        raise ValueError(text)
-    return float(text)
-
-
 @lru_cache(maxsize=None)  # built on first use; parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -308,19 +299,14 @@ def _build_parser():
                     "curvature for potential models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerances=False):  # only check and report read the tolerances
+    def common(p):
         p.add_argument("model", help="model JSON file or builtin name "
                        f"({', '.join(models.BUILTIN_NAMES)})")
-        if tolerances:
-            p.add_argument("--tol-rank", type=tolerance, default=1e-9,
-                           help="relative spectral tolerance for kernel/PSD")
-            p.add_argument("--tol-check", type=tolerance, default=1e-8,
-                           help="residual tolerance for pass/fail verdicts")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header field")
 
     p_check = sub.add_parser("check", help="run pointwise invariant checks")
-    common(p_check, tolerances=True)
+    common(p_check)
     p_check.add_argument("--point", action="append",
                          help="comma-separated coordinates (repeatable)")
     p_check.add_argument("--points", help="CSV file, one point per row")
@@ -347,7 +333,7 @@ def _build_parser():
 
     p_rep = sub.add_parser("report", help="aggregate checks over a default "
                            "domain lattice")
-    common(p_rep, tolerances=True)
+    common(p_rep)
     p_rep.set_defaults(func=cmd_report)
     return parser
 

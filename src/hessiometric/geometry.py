@@ -20,6 +20,7 @@ from .jets import _item
 from .models import PotentialModel
 
 _EPS = 1e-300
+NULL_REL = 1e-9  # an eigenvalue at most this fraction of the largest counts as null
 
 
 @dataclass
@@ -73,7 +74,7 @@ def _pointwise(fn, *arrays):
     return [fn(*rows) for rows in zip(*map(np.ascontiguousarray, arrays))]
 
 
-def kernel(mf: MetricField, tol_rel: float = 1e-9):
+def kernel(mf: MetricField, tol_rel: float = NULL_REL):
     """Eigendecomposition-based kernel of the flat map at a point, or one
     :class:`KernelBasis` per point of a batch, from one ``eigh``, one null mask
     and one sign-fix pass over the null rows of all points.
@@ -133,7 +134,7 @@ def codazzi_residual(mf: MetricField):
     return _item(_amax(mf.dg - transposes, 3).max(axis=0) / (_amax(mf.dg, 3) + _EPS))
 
 
-def psd_check(mf: MetricField, tol_rel: float = 1e-9):
+def psd_check(mf: MetricField, tol_rel: float = NULL_REL):
     """('psd' | 'indefinite', smallest eigenvalue), or a list of verdicts and an
     array for a batch, from one ``eigvalsh``: it rounds otherwise than the
     ``eigh`` of :func:`kernel`, so a null eigenvalue differs (ideal gas at

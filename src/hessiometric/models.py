@@ -48,6 +48,8 @@ class PotentialModel:
                               self.parameters, order, chart)
 
     def entropy_value(self, point) -> float:
+        """Raises DomainError outside the model domain."""
+        self.require_domain(point)
         return -self.potential_jet(point, order=1).value
 
     def domain_check(self, point):

@@ -92,6 +92,12 @@ def test_builtin_values():
         == pytest.approx(0.5)
 
 
+def test_entropy_value_outside_the_domain_raises():
+    # the walk alone would give 0.0 at u = -1
+    with pytest.raises(DomainError):
+        builtin("kerr_newman_radiant").entropy_value([-1, 0, 0])
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ModelSchemaError):
         builtin("nope")
