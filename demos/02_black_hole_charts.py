@@ -12,7 +12,7 @@ import numpy as np
 
 from hessiometric import builtin
 from hessiometric.geometry import (euler_defect, gibbs_duhem_residual,
-                                   hessian_metric, psd_check)
+                                   hessian_metric, kernel, psd_check)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -29,8 +29,8 @@ for MQJ in ([2.0, 0.5, 0.3], [1.5, 0.4, 0.2], [1.2, 0.3, 0.25],
     uqj = [M**2, Q**2, J]
     d_n = euler_defect(naive, MQJ)
     d_r = euler_defect(radiant, uqj)
-    v_n, _ = psd_check(hessian_metric(naive, MQJ))
-    v_r, _ = psd_check(hessian_metric(radiant, uqj))
+    v_n, _ = psd_check(kernel(hessian_metric(naive, MQJ)))
+    v_r, _ = psd_check(kernel(hessian_metric(radiant, uqj)))
     print(f"{str(MQJ):<18} {d_n:>14.6f} {d_r:>15.2e} {v_n:>11} {v_r:>12}")
 
 print("\nThe radiant chart passes the degeneracy test at machine precision:")

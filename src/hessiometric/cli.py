@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -27,6 +28,7 @@ EXIT_MODEL_ERROR = HessiometricError.exit_code
 EXIT_DOMAIN_ERROR = DomainError.exit_code
 _BLOCK = 1024  # points per batched evaluation: bounds a large call's memory
 CHECK_TOL = 1e-8  # bound of the Gibbs-Duhem, Codazzi and Euler-spread residuals
+MAX_GRID_POINTS = 10**6  # points of one curvature grid, checked before any axis is built
 
 
 def _resolve_model(arg: str) -> models.PotentialModel:
@@ -114,10 +116,11 @@ def _point_checks(model, points):
     """Entries per point of a batch (P, n), from one metric jet and one call of
     each diagnostic."""
     mf = geometry.hessian_metric(model, points)
+    kernels = geometry.kernel(mf)  # the one spectrum of g: kernel and PSD verdicts
     columns = [np.asarray(c).tolist() for c in (
-        mf.point, *geometry.psd_check(mf), geometry.gibbs_duhem_residual(mf),
+        mf.point, *geometry.psd_check(kernels), geometry.gibbs_duhem_residual(mf),
         geometry.codazzi_residual(mf), mf.euler_defect)]
-    return [_entries(*row) for row in zip(geometry.kernel(mf), *columns)]
+    return [_entries(*row) for row in zip(kernels, *columns)]
 
 
 def _entries(kb, point, verdict_psd, lam_min, gd, cd, defect):
@@ -193,10 +196,15 @@ def _parse_grid(text: str, r: int):
             raise HessiometricError(f"malformed grid axis {part!r}")
         if count < 1:
             raise HessiometricError("grid count must be >= 1")
-        axes.append(np.linspace(lo, hi, count))
+        if not math.isfinite(hi - lo):  # also a non-finite bound
+            raise HessiometricError(f"grid axis {part!r} has a non-finite bound or span")
+        axes.append((lo, hi, count))
     if len(axes) != r:
         raise HessiometricError(f"grid has {len(axes)} axes, slice dimension is {r}")
-    return np.array(list(product(*axes)))
+    size = math.prod(count for _, _, count in axes)
+    if size > MAX_GRID_POINTS:
+        raise HessiometricError(f"grid has {size} points, more than {MAX_GRID_POINTS}")
+    return np.array(list(product(*(np.linspace(*axis) for axis in axes))))
 
 
 def _curvature_rows(model, sl, zs):

@@ -4,8 +4,9 @@ Everything here is a pure function of (model, point): the metric and its
 first coordinate derivatives from one order-3 jet, the kernel of the induced
 flat map, the Euler defect and Gibbs-Duhem residual that characterize
 extensivity, the Codazzi symmetry residual (its vanishing also makes the
-kernel distribution involutive), and positive semi-definiteness, each at a
-point (n,) or per point of a batch (P, n), bit for bit as at that point alone.
+kernel distribution involutive), and positive semi-definiteness, read off the
+kernel's spectrum of g, each at a point (n,) or per point of a batch (P, n),
+bit for bit as at that point alone.
 """
 
 from __future__ import annotations
@@ -134,12 +135,12 @@ def codazzi_residual(mf: MetricField):
     return _item(_amax(mf.dg - transposes, 3).max(axis=0) / (_amax(mf.dg, 3) + _EPS))
 
 
-def psd_check(mf: MetricField, tol_rel: float = NULL_REL):
-    """('psd' | 'indefinite', smallest eigenvalue), or a list of verdicts and an
-    array for a batch, from one ``eigvalsh``: it rounds otherwise than the
-    ``eigh`` of :func:`kernel`, so a null eigenvalue differs (ideal gas at
-    1,1,1: 2.9e-17 here, -3.7e-16 as ``kernel``'s first)."""
-    eigenvalues = np.linalg.eigvalsh(np.ascontiguousarray(mf.g))
+def psd_check(kb: KernelBasis | list, tol_rel: float = NULL_REL):
+    """('psd' | 'indefinite', lambda_min = ``eigenvalues[0]``) of g, read off the
+    spectrum that :func:`kernel` returned as ``kb``: a :class:`KernelBasis`, or the
+    list of a batch, which gives a list of verdicts and an array."""
+    eigenvalues = np.array([k.eigenvalues for k in kb]) if isinstance(kb, list) \
+        else kb.eigenvalues
     lam_min = eigenvalues[..., 0]
     psd = lam_min >= -tol_rel * _amax(eigenvalues, 1)
     return np.where(psd, "psd", "indefinite").tolist(), _item(lam_min)

@@ -8,7 +8,7 @@ fourth derivatives of the potential.
 Coefficients are stored densely, in graded-lexicographic order of the
 multi-indices, in Taylor form (derivative divided by the multi-index
 factorial).  This makes multiplication a plain truncated convolution;
-:func:`extract` multiplies the factorial back in.
+the derivative tensors multiply the factorials back in.
 
 A trailing batch axis, coefficients (ncoeff, P), makes one jet hold P
 points; each column is computed exactly as its own unbatched jet, and
@@ -116,55 +116,17 @@ class Jet:
             raise ValueError(f"expected {n} coefficients (and an optional batch "
                              f"axis), got {self.coeffs.shape}")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, dim, order):
-        """Constant jet; an array ``value`` gives a batch of constants."""
-        return cls.affine(value, np.zeros(dim), order)
-
     def constant_like(self, value):
         """Constant ``value`` with this jet's dimension, order and batch."""
         coeffs = np.zeros(self.coeffs.shape)
         coeffs[0] = value
         return _jet(self.dim, self.order, coeffs)
 
-    @classmethod
-    def seed(cls, point, var_index, order):
-        """Jet of the coordinate x^var_index at ``point``, (dim,) or (dim, P)."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        dim = point.shape[0]
-        if not 0 <= var_index < dim:
-            raise IndexError(f"var_index {var_index} out of range for dim {dim}")
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-        return cls.affine(point[var_index], np.eye(dim)[var_index], order)
-
-    @classmethod
-    def affine(cls, value, gradient, order):
-        """Jet of an affine function with the given value(s) and gradient."""
-        return affine_jets(np.asarray(value, dtype=float)[None],
-                           np.asarray(gradient, dtype=float)[None], order)[0]
-
     # -- basic accessors ----------------------------------------------
 
     @property
     def value(self):
         return _item(self.coeffs[0])
-
-    def extract(self, idx):
-        """Partial derivative for the multi-index ``idx`` (a tuple of
-        exponents): coefficient times the multi-index factorial."""
-        idx = tuple(int(k) for k in idx)
-        if len(idx) != self.dim:
-            raise ValueError(f"multi-index length {len(idx)} != dim {self.dim}")
-        if any(k < 0 for k in idx):
-            raise ValueError("multi-index exponents must be non-negative")
-        if sum(idx) > self.order:
-            raise ValueError(f"multi-index order {sum(idx)} exceeds jet order {self.order}")
-        _, rank, _, factorials, _, _ = _space(self.dim, self.order)
-        r = rank[idx]
-        return _item(self.coeffs[r] * factorials[r])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -295,9 +257,8 @@ def _elementary(table):
 
 
 def constant_value(fn, v: float, order: int, *args) -> float:
-    """Value of ``fn(Jet.constant(v, dim, order), *args)`` as a float: f(v)
-    plus the zero terms ``compose`` adds (NaN where a derivative is not
-    finite)."""
+    """Value of ``fn`` at a constant jet of value v, as a float: f(v) plus
+    the zero terms ``compose`` adds (NaN where a derivative is not finite)."""
     derivs = _derivatives(fn.table, v, order, *args)
     value = derivs[0]
     for k in range(1, len(derivs)):

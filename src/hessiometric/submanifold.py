@@ -52,11 +52,6 @@ class SliceSpec:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         return (self.jacobian @ z[..., None])[..., 0] + self.offset
 
-    def project(self, x) -> np.ndarray:
-        """Slice coordinates of an ambient point (assumed on the slice)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (self.chart @ x)[: self.slice_dim]
-
 
 def make_slice(B, c) -> SliceSpec:
     """Build a slice spec from constraints Bx = c.

@@ -20,6 +20,7 @@ import pytest
 
 from hessiometric import PotentialModel, load_model
 from hessiometric.geometry import hessian_metric, kernel
+from hessiometric.jets import _space, affine_jets
 
 _EPS = 1e-300
 
@@ -78,6 +79,32 @@ EDGE_POINTS = {
                             [1e-30, 1e-31, 1e-31]],
     "kerr_newman_naive": [[1, 0.999999, 0], [1, 0, 0.999999], [1e10, 1, 1]],
 }
+
+
+# -- jets and slice coordinates, built from the package's tables --------
+
+def seed_jet(point, var_index, order):
+    """Jet of the coordinate x^var_index at ``point``, (dim,) or (dim, P)."""
+    point = np.asarray(point, dtype=float)
+    return affine_jets(point[var_index][None], np.eye(len(point))[[var_index]], order)[0]
+
+
+def constant_jet(value, dim, order):
+    """Jet of the constant ``value``."""
+    return affine_jets(np.array([value], dtype=float), np.zeros((1, dim)), order)[0]
+
+
+def extract(jet, idx):
+    """Partial derivative of an unbatched jet for the multi-index ``idx``:
+    its Taylor coefficient times the multi-index factorial."""
+    _, rank, _, factorials, _, _ = _space(jet.dim, jet.order)
+    slot = rank[tuple(idx)]
+    return float(jet.coeffs[slot] * factorials[slot])
+
+
+def project(sl, x):
+    """Slice coordinates of an ambient point on the slice ``sl``."""
+    return (sl.chart @ np.asarray(x, dtype=float))[: sl.slice_dim]
 
 
 # -- closed-form metric matrices (hand-transcribed) --------------------

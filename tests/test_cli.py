@@ -188,6 +188,32 @@ def test_non_finite_slice_is_usage_error(spec, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["nan:1:2,0.1:0.2:2", "inf:inf:1,0.1:0.1:1",
+                                  "1:2:2,0.1:1e309:2", "1e308:-1e308:3,0.1:0.2:1",
+                                  "1:2:100000000000,0.1:0.2:1"])
+def test_non_finite_or_oversized_grid_is_usage_error(grid, monkeypatch, capsys):
+    # a non-finite bound or span, or more than MAX_GRID_POINTS points, is
+    # rejected before any axis is built: the 1e11-point grid is never allocated
+    def build_no_axis(*args, **kwargs):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(np, "linspace", build_no_axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["curvature", "kerr_newman_radiant", "--slice", "0,0,1=0.25",
+                                  "--grid", grid], capsys)
+    assert (code, out) == (cli.EXIT_MODEL_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_grid_of_more_than_max_grid_points_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 6)
+    argv = ["curvature", "ideal_gas", "--slice", "0,0,1=1", "--grid"]
+    assert run_cli(argv + ["1:2:3,1:2:2"], capsys)[0] == cli.EXIT_OK
+    assert run_cli(argv + ["1:2:7,1:2:1"], capsys) == (
+        cli.EXIT_MODEL_ERROR, "", "error: grid has 7 points, more than 6\n")
+
+
 def test_exit_model_error_dimension_mismatch(capsys):
     code, _, _ = run_cli(["check", "ideal_gas", "--point", "1,1"], capsys)
     assert code == cli.EXIT_MODEL_ERROR
@@ -360,6 +386,37 @@ def test_check_entries_of_two_blocks_equal_the_single_point_entries(name, code, 
     assert run_cli(["check", name, "--no-timestamp", "--points", str(csv_file)], capsys) == (
         code, json.dumps({"model": name, "version": cli.__version__, "checks": single},
                          indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("name", models.BUILTIN_NAMES)
+def test_psd_and_kernel_entries_read_one_spectrum_of_g(name, monkeypatch, tmp_path, capsys):
+    # over a batch and over single points: one eigh per check block and no
+    # eigvalsh, and each psd lambda_min is the kernel's eigenvalues[0] bit for bit
+    points = sample_points(name, 12, np.random.default_rng(61)).tolist()
+    csv_file = tmp_path / "points.csv"
+    csv_file.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (np.linalg.eigh, np.linalg.eigvalsh):
+        monkeypatch.setattr(np.linalg, fn.__name__, counted(fn))
+    runs = [(["--points", str(csv_file)], len(points))] + [
+        (["--point", ",".join(map(repr, p))], 1) for p in points]
+    for tail, count in runs:
+        calls.clear()
+        code, out, _ = run_cli(["check", name, "--no-timestamp", *tail], capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+        assert calls == {"eigh": 1}
+        values = {check: [e["value"] for e in json.loads(out)["checks"] if e["check"] == check]
+                  for check in ("psd", "kernel")}
+        assert len(values["psd"]) == count
+        assert [v["lambda_min"].hex() for v in values["psd"]] == \
+            [v["eigenvalues"][0].hex() for v in values["kernel"]]
 
 
 # -- curvature scan behavior -------------------------------------------

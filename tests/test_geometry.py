@@ -83,8 +83,8 @@ def test_batched_metric_field_diagnostics_match_single_points(name):
     def bits(*values):
         return [np.asarray(v, dtype=float).tobytes() for v in values]
 
-    verdicts, lam_mins = psd_check(batch)
     kernels = kernel(batch)
+    verdicts, lam_mins = psd_check(kernels)
     gd, cd = gibbs_duhem_residual(batch), codazzi_residual(batch)
     defects = batch.euler_defect
     assert bits(defects) == bits(euler_defect(model, points))
@@ -94,9 +94,9 @@ def test_batched_metric_field_diagnostics_match_single_points(name):
         kb = kernel(mf)
         assert bits(batch.g[i], batch.dg[i], batch.potential[i], batch.gradient[i]) == \
             bits(mf.g, mf.dg, mf.potential, mf.gradient)
-        assert (verdicts[i], kernels[i].rank) == (psd_check(mf)[0], kb.rank)
+        assert (verdicts[i], kernels[i].rank) == (psd_check(kb)[0], kb.rank)
         assert bits(lam_mins[i], kernels[i].basis, kernels[i].eigenvalues, gd[i], cd[i],
-                    defects[i]) == bits(psd_check(mf)[1], kb.basis, kb.eigenvalues,
+                    defects[i]) == bits(psd_check(kb)[1], kb.basis, kb.eigenvalues,
                                         gibbs_duhem_residual(mf), codazzi_residual(mf),
                                         mf.euler_defect)
         assert mf.euler_defect.hex() == euler_defect(model, point).hex()
@@ -317,13 +317,13 @@ def test_codazzi_broken_fixture():
 
 
 def test_psd_verdicts():
-    verdict, lam_min = psd_check(hessian_metric(builtin("ideal_gas"), [1, 1, 1]))
+    verdict, lam_min = psd_check(kernel(hessian_metric(builtin("ideal_gas"), [1, 1, 1])))
     assert verdict == "psd"
     assert lam_min == pytest.approx(0.0, abs=1e-12)
-    verdict, _ = psd_check(hessian_metric(builtin("paramagnet"), [1, 0, 1]))
+    verdict, _ = psd_check(kernel(hessian_metric(builtin("paramagnet"), [1, 0, 1])))
     assert verdict == "psd"
     verdict, lam_min = psd_check(
-        hessian_metric(builtin("kerr_newman_naive"), [2, 0.5, 0.3]))
+        kernel(hessian_metric(builtin("kerr_newman_naive"), [2, 0.5, 0.3])))
     assert verdict == "indefinite"
     assert lam_min < -1e-3
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import EDGE_POINTS, SAMPLE_BOXES, sample_points
+from helpers import EDGE_POINTS, SAMPLE_BOXES, project, sample_points
 from hessiometric import BUILTIN_NAMES, builtin
 from hessiometric.errors import HessiometricError
 from hessiometric.geometry import euler_defect, hessian_metric, kernel
@@ -70,7 +70,7 @@ def tour_records(name):
     x0 = np.array([np.mean(box) for box in SAMPLE_BOXES[name]])
     for kind, row in SLICE_ROWS.items():
         sl = make_slice([row], [float(np.dot(row, x0))])
-        zs = [z for z in (sl.project(x) for x in sample_points(name, 4 * SLICE_POINTS, rng))
+        zs = [z for z in (project(sl, x) for x in sample_points(name, 4 * SLICE_POINTS, rng))
               if model.domain_check(sl.embed(z))][:SLICE_POINTS]
         records += [_attempt({"model": name, "slice": kind, "z": z.tolist()},
                              lambda: _on_slice(model, sl, z)) for z in zs]

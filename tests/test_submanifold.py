@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import (connection_reference, fd_scalar_curvature,
                      kn_jslice_scalar_reference, metric_ideal_gas,
-                     metric_kn_radiant_jslice, riemann_parts_reference,
+                     metric_kn_radiant_jslice, project, riemann_parts_reference,
                      sample_points)
 from hessiometric import BUILTIN_NAMES, builtin, expr, jets, load_model
 from hessiometric.errors import (DegenerateSliceError, DomainError,
@@ -31,7 +31,7 @@ def random_interior_slice(rng, model, ndrop=1, box=(0.8, 1.5)):
     B = rng.standard_normal((ndrop, n))
     x0 = rng.uniform(box[0], box[1], size=n)
     sl = make_slice(B, B @ x0)
-    return sl, sl.project(x0)
+    return sl, project(sl, x0)
 
 
 # -- slice construction ------------------------------------------------
@@ -180,7 +180,7 @@ def test_transversality_iff_nondegenerate():
     # tangent to the radiant ray through (1,1,1): contains the kernel
     B = np.array([[1.0, -1.0, 0.0]])
     sl = make_slice(B, [0.0])
-    pb = pullback_metric(model, sl, sl.project(np.ones(3)))
+    pb = pullback_metric(model, sl, project(sl, np.ones(3)))
     with pytest.raises(DegenerateSliceError):
         levi_civita(pb)
     # generic slice: strictly positive spectrum
@@ -309,7 +309,7 @@ def _slice_points_of_every_builtin():
         for B in ([[0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]], [[1, 1, 0]],
                   [[0.3, 0.5, 1]], [[1, 2, 3]], [[1, 0, 0], [0, 1, 1]]):
             sl = make_slice(B, np.array(B, dtype=float) @ x0)
-            zs = sl.project(x0) + rng.uniform(-0.05, 0.05, (8, sl.slice_dim))
+            zs = project(sl, x0) + rng.uniform(-0.05, 0.05, (8, sl.slice_dim))
             zs = zs[model.domain_check(sl.embed(zs))]
             zs = zs[~curvature(pullback_metric(model, sl, zs)).connection.singular]
             if len(zs):
@@ -392,7 +392,7 @@ def _oracle_cases():
                                       [[0.3, -0.5, 1, 0.7]])]
     for model, x0, B in cases:
         sl = make_slice(B, np.array(B, dtype=float) @ x0)
-        zs = sl.project(x0) + rng.uniform(-0.05, 0.05, (12, sl.slice_dim))
+        zs = project(sl, x0) + rng.uniform(-0.05, 0.05, (12, sl.slice_dim))
         yield model, sl, zs[model.domain_check(sl.embed(zs))]
 
 
@@ -510,7 +510,7 @@ def test_folded_slice_coordinates_match_affine_jets(name):
                      ([[1, 0, 0], [0, 1, 1]], [0]), ([[1, 1, 0]], []),
                      ([[0.3, 0.5, 1]], [])]:
         sl = make_slice(B, np.array(B, dtype=float) @ x0)
-        xs = sl.embed(sl.project(x0) + rng.uniform(-0.05, 0.05, (16, sl.slice_dim)))
+        xs = sl.embed(project(sl, x0) + rng.uniform(-0.05, 0.05, (16, sl.slice_dim)))
         xs = xs[model.domain_check(xs)]
         for x in (xs, xs[0]):
             for order in (1, 4):
