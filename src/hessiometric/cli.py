@@ -14,7 +14,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +107,11 @@ def _blocks(fn, points):
             for i in range(len(block)):
                 results += fn(block[i:i + 1])
     return results
+
+
+def _cartesian(axes) -> np.ndarray:
+    """Points (P, k) of the Cartesian product of ``axes``, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 # -- check -------------------------------------------------------------
@@ -204,7 +208,7 @@ def _parse_grid(text: str, r: int):
     size = math.prod(count for _, _, count in axes)
     if size > MAX_GRID_POINTS:
         raise HessiometricError(f"grid has {size} points, more than {MAX_GRID_POINTS}")
-    return np.array(list(product(*(np.linspace(*axis) for axis in axes))))
+    return _cartesian([np.linspace(*axis) for axis in axes])
 
 
 def _curvature_rows(model, sl, zs):
@@ -233,8 +237,7 @@ def cmd_curvature(args) -> int:
     zs = _parse_grid(args.grid, sl.slice_dim)
     lines = [",".join([f"z{i+1}" for i in range(sl.slice_dim)] + [
         "scalar_curvature", "lambda_min", "dual_flatness_residual", "status"])]
-    for start in range(0, len(zs), _BLOCK):
-        lines += _curvature_rows(model, sl, zs[start:start + _BLOCK])
+    lines += _blocks(lambda z: _curvature_rows(model, sl, z), zs)
     text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         try:
@@ -276,7 +279,7 @@ def cmd_legendre(args) -> int:
 
 def cmd_report(args) -> int:
     model = _resolve_model(args.model)
-    lattice = np.array(list(product((0.5, 1.0, 2.0), repeat=model.dim)))
+    lattice = _cartesian([(0.5, 1.0, 2.0)] * model.dim)
     points = lattice[model.domain_check(lattice)]
     if not len(points):
         raise DomainError("no lattice point lies in the model domain")

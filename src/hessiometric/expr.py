@@ -52,8 +52,10 @@ class Call:
 
 Ast = Union[Num, Name, Neg, BinOp, Call]
 
-_FUNCTIONS = {"ln", "exp", "sqrt"}
 _ALIASES = {"log": "ln"}
+# levels of one expression: each parenthesis, call, unary minus and binary operator
+# adds one (`U+U+U` and `((U))` have two); keeps the AST walks' recursion shallow
+MAX_DEPTH = 100
 
 IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
@@ -66,16 +68,11 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip pure whitespace tail
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
+    tokens, pos, end = [], 0, len(text.rstrip())  # up to a whitespace tail
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos)  # each match takes one token
+        if m is None:
+            bad = len(text) - len(text[pos:].lstrip())
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
@@ -109,16 +106,23 @@ class _Parser:
         self.advance()
 
     def parse(self):
-        ast = self.expression(0)
+        ast, _ = self.expression(0, 0)
         kind, text, offset = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected token {text!r}", offset)
         return ast
 
-    def expression(self, min_bp):
-        left = self.atom()
+    def check_depth(self, levels, offset):
+        if levels > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
+
+    def expression(self, min_bp, depth):
+        """(ast, reach) of the expression at the next token, ``depth`` levels down:
+        ``reach`` is the level of its deepest node, parentheses counted."""
+        self.check_depth(depth, self.peek()[2])
+        left, reach = self.atom(depth)
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind != "op" or text not in _BINARY_BP:
                 break
             bp = _BINARY_BP[text]
@@ -126,43 +130,45 @@ class _Parser:
                 break
             self.advance()
             # ^ is right-associative: recurse at the same binding power
-            right = self.expression(bp if text == "^" else bp + 1)
-            left = BinOp(text, left, right)
-        return left
+            right, right_reach = self.expression(bp if text == "^" else bp + 1, depth + 1)
+            left, reach = BinOp(text, left, right), max(reach + 1, right_reach)
+            self.check_depth(reach, offset)  # the left operand went one level down
+        return left, reach
 
-    def atom(self):
+    def atom(self, depth):
         kind, text, offset = self.advance()
         if kind == "number":
-            return Num(float(text))
+            return Num(float(text)), depth
         if kind == "ident":
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
                 fn = _ALIASES.get(text, text)
-                if fn not in _FUNCTIONS:
+                if fn not in _CALLS:
                     raise ExprSyntaxError(f"unknown function {text!r}", offset)
                 self.advance()
-                arg = self.expression(0)
+                arg, reach = self.expression(0, depth + 1)
                 self.expect_op(")")
-                return Call(fn, arg)
-            return Name(text)
+                return Call(fn, arg), reach
+            return Name(text), depth
         if kind == "op" and text == "-":
-            return Neg(self.expression(_UNARY_BP))
+            operand, reach = self.expression(_UNARY_BP, depth + 1)
+            return Neg(operand), reach
         if kind == "op" and text == "(":
-            inner = self.expression(0)
+            inner, reach = self.expression(0, depth + 1)
             self.expect_op(")")
-            return inner
+            return inner, reach
         raise ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", offset)
 
 
 def parse(text: str) -> Ast:
-    """Parse expression text into an AST."""
+    """Parse expression text into an AST of at most :data:`MAX_DEPTH` levels."""
     if not text or text.strip() == "":
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(text).parse()
 
 
 def pretty(ast: Ast) -> str:
-    """Fully parenthesized text form; re-parses to an identical AST."""
+    """Fully parenthesized text form; re-parses to an identical AST within MAX_DEPTH."""
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, Name):
@@ -240,8 +246,6 @@ def _walk(ast, env, like):
             right = right if ast.op == "^" else like.constant_like(right)
         if ast.op in _ARITHMETIC:
             return _ARITHMETIC[ast.op](left, right)
-        if isinstance(right, float):
-            return jets.pow_const(left, right)
         return (like.constant_like(left) if isinstance(left, float) else left) ** right
     if isinstance(ast, Num):
         return float(ast.value)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping, Tuple
@@ -104,18 +105,12 @@ _REQUIRED_KEYS = {"name", "coordinates", "entropy"}
 
 
 def _build(name, coordinates, parameters, entropy_text, domain_texts) -> PotentialModel:
-    entropy = expr.parse(entropy_text)
-    expr.validate(entropy, coordinates, list(parameters))
-    domain = []
-    for text in domain_texts:
-        ast = expr.parse(text)
-        expr.validate(ast, coordinates, list(parameters))
-        domain.append(ast)
-    return PotentialModel(name=name,
-                          coordinates=tuple(coordinates),
-                          parameters=dict(parameters),
-                          entropy=entropy,
-                          domain=tuple(domain))
+    asts = []  # the entropy, then each domain constraint
+    for text in (entropy_text, *domain_texts):
+        asts.append(expr.parse(text))
+        expr.validate(asts[-1], coordinates, list(parameters))
+    return PotentialModel(name=name, coordinates=tuple(coordinates), parameters=dict(parameters),
+                          entropy=asts[0], domain=tuple(asts[1:]))
 
 
 def load_model(document: str) -> PotentialModel:
@@ -128,7 +123,7 @@ def load_model(document: str) -> PotentialModel:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer of more digits than int() reads
         raise ModelSchemaError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ModelSchemaError("model document must be a JSON object")
@@ -151,10 +146,10 @@ def load_model(document: str) -> PotentialModel:
         raise ModelSchemaError("coordinate names must be distinct")
     if len(coordinates) > MAX_DIM:
         raise ModelSchemaError(f"at most {MAX_DIM} coordinates, got {len(coordinates)}")
-    if (not isinstance(parameters, dict)
-            or not all(isinstance(k, str) and isinstance(v, (int, float))
-                       and not isinstance(v, bool) for k, v in parameters.items())):
-        raise ModelSchemaError("'parameters' must map strings to numbers")
+    if (not isinstance(parameters, dict)  # json reads NaN, Infinity and 1e999 as floats
+            or not all(isinstance(k, str) and type(v) in (int, float)
+                       and abs(v) <= sys.float_info.max for k, v in parameters.items())):
+        raise ModelSchemaError("'parameters' must map strings to finite numbers")
     for key in [*coordinates, *parameters]:  # a parameter would shadow its coordinate
         if not re.fullmatch(expr.IDENTIFIER, key) or (key in coordinates and key in parameters):
             raise ModelSchemaError("coordinate and parameter names must be distinct "

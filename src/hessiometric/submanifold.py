@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
-from .geometry import _amax, hessian_metric
+from .geometry import _EPS, _amax, hessian_metric
 from .jets import _item
 from .models import PotentialModel
 
-_EPS = 1e-300
 DEGENERATE_REL = 1e-9  # lambda_min / lambda_max of a slice metric counted singular
 MISMATCH_REL = 1e-8    # relative gap of the two dual potentials that flags a mismatch
 
@@ -155,8 +154,8 @@ def _pullback(model: PotentialModel, sl: SliceSpec, z, x, order: int = 4) -> Pul
 
 @dataclass
 class Connection:
-    """Levi-Civita connection of the induced metric, from one
-    factorisation of it: gamma[c, a, b] = Gamma^c_ab and
+    """Levi-Civita connection of the induced metric, from its spectrum
+    (one ``eigvalsh``) and its inverse (one ``inv``): gamma[c, a, b] = Gamma^c_ab and
     dgamma[e, c, a, b] = d_e Gamma^c_ab.  ``singular`` marks degenerate points
     of a batch, computed with the identity in place of their metric."""
 
@@ -224,7 +223,6 @@ class CurvatureReport:
     ``dual_flatness`` and ``residuals`` (antisymmetry, Bianchi, metric
     compatibility) are computed when read."""
 
-    z: np.ndarray
     metric: np.ndarray
     connection: Connection
     riemann: np.ndarray
@@ -263,7 +261,7 @@ def curvature(pb: PullbackData) -> CurvatureReport:
     riemann = d + b1 - b2
     ricci = np.einsum("...abad->...bd", riemann)
     scalar = np.einsum("...bd,...bd->...", conn.ginv, ricci)
-    return CurvatureReport(z=pb.z, metric=pb.gbar, connection=conn, riemann=riemann,
+    return CurvatureReport(metric=pb.gbar, connection=conn, riemann=riemann,
                            ricci=ricci, scalar=_item(scalar), pullback=pb, parts=(d, b1, b2))
 
 

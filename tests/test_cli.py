@@ -132,6 +132,31 @@ def test_exit_model_error_schema_name(tmp_path, capsys):
                    "be distinct identifiers ([A-Za-z][A-Za-z0-9_]*), got 'U'\n")
 
 
+def test_exit_model_error_non_finite_parameter(tmp_path, capsys):
+    # an infinite R would make every row DOMAIN, a NaN one every point a domain error
+    model = tmp_path / "inf.json"
+    model.write_text('{"name": "inf", "coordinates": ["U", "V"], "parameters": {"R": Infinity}, '
+                     '"entropy": "R*ln(U*V)", "domain": ["U - R", "V"]}')
+    code, out, err = run_cli(["curvature", str(model), "--slice", "0,1=1", "--grid", "1:2:2"],
+                             capsys)
+    assert (code, out) == (cli.EXIT_MODEL_ERROR, "")
+    assert err == (f"error: cannot load model {model}: 'parameters' must map strings to "
+                   "finite numbers\n")
+
+
+@pytest.mark.parametrize("entropy", ["U" + "+U" * 1000, "(" * 1000 + "U" + ")" * 1000,
+                                     "-" * 1000 + "U", "U" + "^U" * 1000],
+                         ids=["sum", "parentheses", "minus", "power"])
+def test_exit_model_error_expression_too_deep(entropy, tmp_path, capsys):
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps({"name": "deep", "coordinates": ["U", "V"],
+                                 "entropy": entropy}))
+    code, out, err = run_cli(["check", str(model), "--point", "1,1"], capsys)
+    assert (code, out) == (cli.EXIT_MODEL_ERROR, "")
+    assert re.fullmatch(r"error: cannot load model .*: expression nests deeper than 100 "
+                        r"levels \(at offset \d+\)\n", err)
+
+
 def test_exit_model_error_model_file_not_utf8(tmp_path, capsys):
     model = tmp_path / "latin1.json"
     model.write_bytes(b'{"name": "caf\xe9", "coordinates": ["U"], "entropy": "ln(U)"}\xff')
@@ -212,6 +237,17 @@ def test_grid_of_more_than_max_grid_points_is_usage_error(monkeypatch, capsys):
     assert run_cli(argv + ["1:2:3,1:2:2"], capsys)[0] == cli.EXIT_OK
     assert run_cli(argv + ["1:2:7,1:2:1"], capsys) == (
         cli.EXIT_MODEL_ERROR, "", "error: grid has 7 points, more than 6\n")
+
+
+def test_grid_and_lattice_lay_out_points_as_the_cartesian_product():
+    # the reference is itertools.product: the same values, the last axis fastest
+    zs = cli._parse_grid("0.3:2:1000,0.05:0.35:1000", 2)
+    reference = np.array(list(product(np.linspace(0.3, 2, 1000), np.linspace(0.05, 0.35, 1000))))
+    assert zs.shape == reference.shape and zs.tobytes() == reference.tobytes()
+    for dim in range(1, 9):  # report's lattice in every model dimension
+        lattice = cli._cartesian([(0.5, 1.0, 2.0)] * dim)
+        reference = np.array(list(product((0.5, 1.0, 2.0), repeat=dim)))
+        assert lattice.shape == reference.shape and lattice.tobytes() == reference.tobytes()
 
 
 def test_exit_model_error_dimension_mismatch(capsys):
@@ -329,6 +365,55 @@ def test_legendre_first_failing_point_decides_the_error(points, code, message, c
     assert run_cli(["legendre", "ideal_gas", "--slice", "0,0,1=1", "--no-timestamp",
                     *(f"--point={p}" for p in points)], capsys) == \
         (code, "", f"error: {message}\n")
+
+
+# two-point grids a:b:2,c:c:1 on which one block's error is not the first failing point's
+# own, sampled from a sweep over every builtin, plus two whose points fail alike
+FAILING_GRIDS = [
+    ("ideal_gas", "0,0,1=1", "1", "1e-250", "1e-200"),
+    ("ideal_gas", "0,0,1=1", "1", "1e-250", "1e200"),
+    ("ideal_gas", "0,0,1=1", "1", "1e300", "1e-200"),
+    ("ideal_gas", "0,0,1=1", "1e-110", "1e-300", "1e200"),
+    ("ideal_gas", "0,0,1=1", "1e-110", "1e300", "1e300"),
+    ("ideal_gas", "0,0,1=1", "1e-80", "1e-300", "1e200"),
+    ("ideal_gas", "0,0,1=1", "1e110", "1", "1e200"),
+    ("ideal_gas", "0,0,1=1", "1e110", "1e-160", "1e-200"),
+    ("ideal_gas", "0,0,1=1", "1e110", "1e-250", "1e-200"),
+    ("ideal_gas", "0,0,1=1", "1e160", "1e-80", "1e-300"),
+    ("ideal_gas", "0,0,1=1", "1e160", "1e80", "1e-300"),
+    ("ideal_gas", "0,0,1=1", "1e200", "1e-160", "1e-200"),
+    ("ideal_gas", "0,0,1=1", "1e200", "1e300", "1e-200"),
+    ("ideal_gas", "0,0,1=1", "1e200", "1e300", "1e200"),
+    ("ideal_gas", "0,0,1=1", "1e80", "1e-200", "1e-200"),
+    ("ideal_gas", "0,1,0=1e-300", "1", "1e-300", "1e-200"),
+    ("ideal_gas", "0,1,0=1e-300", "1e-110", "1e-160", "1e300"),
+    ("ideal_gas", "0,1,0=1e-300", "1e-110", "1e-250", "1e-200"),
+    ("ideal_gas", "0,1,0=1e-300", "1e110", "1e-250", "1e-200"),
+    ("ideal_gas", "0,1,0=1e-300", "1e160", "1e-300", "1e200"),
+    ("ideal_gas", "0,1,0=1e-300", "1e80", "1e-250", "1e-300"),
+    ("ideal_gas", "0,1,0=1e-300", "1e80", "1e-300", "1e300"),
+    ("paramagnet", "0,0,1=1", "1e-80", "1e-160", "1e300"),
+    ("paramagnet", "0,0,1=1", "1e-80", "1e-250", "1e200"),
+    ("paramagnet", "0,0,1=1", "1e-80", "1e-300", "1e-200"),
+    ("paramagnet", "0,0,1=1", "1e-80", "1e110", "1e200"),
+    ("paramagnet", "0,0,1=1", "1e-80", "1e80", "1e-300"),
+    ("paramagnet", "1,0,0=1e-300", "1e-300", "1e-250", "1e300"),
+    ("ideal_gas", "1,0,0=1e300", "1e-300", "1e-110", "1e300")]
+
+
+def test_curvature_first_failing_point_decides_the_error(capsys):
+    def scan(model, spec, grid):
+        return run_cli(["curvature", model, "--slice", spec, "--grid", grid], capsys)
+
+    assert scan("ideal_gas", "0,0,1=1", "1e-110:1e-300:2,1:1:1") == (
+        cli.EXIT_DOMAIN_ERROR, "",
+        "error: derivatives of ln at 1.0000000000000001e-165 leave the float range\n")
+    for model, spec, a, b, c in FAILING_GRIDS:
+        # the grid's points are exactly a and b: the oracle scans each alone
+        alone = [scan(model, spec, f"{z}:{z}:1,{c}:{c}:1") for z in (a, b)]
+        first = next(r for r in alone if r[0] != cli.EXIT_OK)
+        assert first[1] == "" and first[2].startswith("error: ")
+        assert scan(model, spec, f"{a}:{b}:2,{c}:{c}:1") == first, (model, spec, a, b, c)
 
 
 def test_non_finite_point_is_outside_every_domain(tmp_path, capsys):

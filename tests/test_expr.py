@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import hessiometric.expr as ex
 from helpers import extract
-from hessiometric import BUILTIN_NAMES, builtin, jets
+from hessiometric import BUILTIN_NAMES, builtin, jets, load_model
 from hessiometric.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from hessiometric.expr import BinOp, Call, Name, Neg, Num
 from hessiometric.jets import Jet
@@ -72,6 +73,33 @@ def test_empty_expression():
         ex.parse("")
     with pytest.raises(ExprSyntaxError):
         ex.parse("   ")
+
+
+# four shapes of k levels: an operator chain, parentheses, minus signs and a
+# right-associative power tower, with their values at U = 1
+DEEP = {"sum": (lambda k: "U" + "+U" * k, lambda k: k + 1.0),
+        "parentheses": (lambda k: "(" * k + "U" + ")" * k, lambda k: 1.0),
+        "minus": (lambda k: "-" * k + "U", lambda k: (-1.0) ** k),
+        "power": (lambda k: "U" + "^U" * k, lambda k: 1.0)}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_expression_depth_is_bounded(shape):
+    text, value = DEEP[shape]
+    at_bound = load_model(json.dumps({"name": shape, "coordinates": ["U"],
+                                      "entropy": text(ex.MAX_DEPTH)}))
+    jet = at_bound.potential_jet([1.0], order=4)  # each walk recurses through every level
+    assert -jet.value == value(ex.MAX_DEPTH) and np.isfinite(jet.coeffs).all()
+    for k in (ex.MAX_DEPTH + 1, 1000):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {ex.MAX_DEPTH} levels"):
+            ex.parse(text(k))
+
+
+def test_expression_depth_counts_chains_below_nesting():
+    ex.parse("(" * 50 + "U" + ")" * 50 + "+U" * 50)
+    with pytest.raises(ExprSyntaxError) as err:
+        ex.parse("(" * 50 + "U" + ")" * 50 + "+U" * 51)
+    assert err.value.offset == 201  # the 51st "+", which puts the U 101 levels down
 
 
 def test_validate_ideal_gas():

@@ -85,6 +85,21 @@ def test_load_invalid_json():
         load_model("{not json")
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e999", "1e400_integer"])
+def test_load_rejects_a_parameter_that_is_no_finite_float(value):
+    # json reads the first four as floats; the integer lies beyond the float range
+    document = json.dumps(IDEAL_GAS_DOC).replace('"R": 1.0', f'"R": {value}')
+    with pytest.raises(ModelSchemaError, match="'parameters' must map strings to finite numbers"):
+        load_model(document)
+
+
+def test_load_an_integer_of_too_many_digits_is_a_schema_error():
+    # Python's json refuses to read an integer of more than 4300 digits
+    with pytest.raises(ModelSchemaError):
+        load_model(json.dumps(IDEAL_GAS_DOC).replace('"R": 1.0', '"R": 1' + "0" * 5000))
+
+
 def test_builtin_values():
     assert builtin("ideal_gas").entropy_value([1, 1, 1]) == pytest.approx(0.0)
     assert builtin("paramagnet").entropy_value([1, 0, 1]) == pytest.approx(0.0)
