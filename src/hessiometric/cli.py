@@ -310,42 +310,37 @@ def _build_parser():
                     "curvature for potential models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="model JSON file or builtin name "
                        f"({', '.join(models.BUILTIN_NAMES)})")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp header field")
+        if name != "report":  # curvature accepts it unread: the benchmark's scan passes it
+            p.add_argument("--no-timestamp", action="store_true",
+                           help="omit the timestamp header field")
+        p.set_defaults(func=func)
+        return p
 
-    p_check = sub.add_parser("check", help="run pointwise invariant checks")
-    common(p_check)
+    p_check = subcommand("check", cmd_check, "run pointwise invariant checks")
     p_check.add_argument("--point", action="append",
                          help="comma-separated coordinates (repeatable)")
     p_check.add_argument("--points", help="CSV file, one point per row")
-    p_check.set_defaults(func=cmd_check)
 
-    p_curv = sub.add_parser("curvature", help="scan scalar curvature over a "
-                            "grid on a slice")
-    common(p_curv)
+    p_curv = subcommand("curvature", cmd_curvature, "scan scalar curvature over a "
+                        "grid on a slice")
     p_curv.add_argument("--slice", required=True,
                         help="constraint rows 'b1,..,bn=c' joined by ';'")
     p_curv.add_argument("--grid", required=True,
                         help="per-axis 'min:max:count' joined by ','")
     p_curv.add_argument("--out", default="-", help="CSV output path")
-    p_curv.set_defaults(func=cmd_curvature)
 
-    p_leg = sub.add_parser("legendre", help="dual potential and invariance "
-                           "residuals on a slice")
-    common(p_leg)
+    p_leg = subcommand("legendre", cmd_legendre, "dual potential and invariance "
+                       "residuals on a slice")
     p_leg.add_argument("--slice", required=True,
                        help="constraint rows 'b1,..,bn=c' joined by ';'")
     p_leg.add_argument("--point", action="append",
                        help="slice coordinates (repeatable)")
-    p_leg.set_defaults(func=cmd_legendre)
 
-    p_rep = sub.add_parser("report", help="aggregate checks over a default "
-                           "domain lattice")
-    common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
+    subcommand("report", cmd_report, "aggregate checks over a default domain lattice")
     return parser
 
 

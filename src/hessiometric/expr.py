@@ -225,9 +225,9 @@ def eval_on(ast: Ast, env: Mapping[str, Union[Jet, float]]) -> Jet:
 
 
 def _walk(ast, env, like):
-    """Jet of ``ast``, or a float c for a constant subtree: every operation
-    on c rounds exactly as on ``like.constant_like(c)``.  A constant whose
-    jet would carry nonzero slots (-0.0 after a negation, NaN when it is
+    """Jet of ``ast``, or a float c for a constant subtree without calls: every
+    operation on c rounds exactly as on ``like.constant_like(c)``.  A constant
+    whose jet would carry nonzero slots (-0.0 after a negation, NaN when it is
     not finite) stays a jet; as an exponent only its value is read."""
     if isinstance(ast, Name):
         return env[ast.name]
@@ -254,12 +254,7 @@ def _walk(ast, env, like):
         return -(like.constant_like(operand) if isinstance(operand, float) else operand)
     if isinstance(ast, Call):
         arg = _walk(ast.arg, env, like)
-        if isinstance(arg, float):
-            value = jets.constant_value(_CALLS[ast.fn], arg, like.order)
-            if math.isfinite(value):
-                return value
-            arg = like.constant_like(arg)
-        return _CALLS[ast.fn](arg)
+        return _CALLS[ast.fn](like.constant_like(arg) if isinstance(arg, float) else arg)
     raise TypeError(f"not an AST node: {ast!r}")
 
 

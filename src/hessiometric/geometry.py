@@ -75,17 +75,17 @@ def _pointwise(fn, *arrays):
     return [fn(*rows) for rows in zip(*map(np.ascontiguousarray, arrays))]
 
 
-def kernel(mf: MetricField, tol_rel: float = NULL_REL):
+def kernel(mf: MetricField):
     """Eigendecomposition-based kernel of the flat map at a point, or one
     :class:`KernelBasis` per point of a batch, from one ``eigh``, one null mask
     and one sign-fix pass over the null rows of all points.
 
-    An eigenvalue counts as zero iff |lambda| <= tol_rel * lambda_max.
+    An eigenvalue counts as zero iff |lambda| <= NULL_REL * lambda_max.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(np.ascontiguousarray(mf.g))
     size = np.abs(eigenvalues)
     lam_max = size.max(axis=-1, keepdims=True)
-    null = (size <= tol_rel * lam_max) | (lam_max == 0.0)
+    null = (size <= NULL_REL * lam_max) | (lam_max == 0.0)
     # the null rows of every point, in order (eigh returns ascending
     # eigenvalues); each row's first entry of magnitude above 1e-14 is made positive
     basis = eigenvectors.swapaxes(-1, -2)[null]
@@ -135,12 +135,12 @@ def codazzi_residual(mf: MetricField):
     return _item(_amax(mf.dg - transposes, 3).max(axis=0) / (_amax(mf.dg, 3) + _EPS))
 
 
-def psd_check(kb: KernelBasis | list, tol_rel: float = NULL_REL):
+def psd_check(kb: KernelBasis | list):
     """('psd' | 'indefinite', lambda_min = ``eigenvalues[0]``) of g, read off the
     spectrum that :func:`kernel` returned as ``kb``: a :class:`KernelBasis`, or the
     list of a batch, which gives a list of verdicts and an array."""
     eigenvalues = np.array([k.eigenvalues for k in kb]) if isinstance(kb, list) \
         else kb.eigenvalues
     lam_min = eigenvalues[..., 0]
-    psd = lam_min >= -tol_rel * _amax(eigenvalues, 1)
+    psd = lam_min >= -NULL_REL * _amax(eigenvalues, 1)
     return np.where(psd, "psd", "indefinite").tolist(), _item(lam_min)

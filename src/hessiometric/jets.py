@@ -258,7 +258,8 @@ def _elementary(table):
 
 def constant_value(fn, v: float, order: int, *args) -> float:
     """Value of ``fn`` at a constant jet of value v, as a float: f(v) plus
-    the zero terms ``compose`` adds (NaN where a derivative is not finite)."""
+    the zero terms ``compose`` adds (NaN where a derivative is not finite).
+    It gives the reciprocal of a float divisor and a float power of a float."""
     derivs = _derivatives(fn.table, v, order, *args)
     value = derivs[0]
     for k in range(1, len(derivs)):

@@ -48,11 +48,6 @@ class PotentialModel:
         return -expr.eval_jet(self.entropy, self.coordinates, point,
                               self.parameters, order, chart)
 
-    def entropy_value(self, point) -> float:
-        """Raises DomainError outside the model domain."""
-        self.require_domain(point)
-        return -self.potential_jet(point, order=1).value
-
     def domain_check(self, point):
         """True iff ``point`` is finite and every domain constraint is
         evaluable there (its value is finite) and strictly positive; a mask
@@ -113,6 +108,14 @@ def _build(name, coordinates, parameters, entropy_text, domain_texts) -> Potenti
                           entropy=asts[0], domain=tuple(asts[1:]))
 
 
+def _check_parameters(parameters) -> None:
+    """Parameters map strings to finite ints or floats (json reads NaN and 1e999 as floats)."""
+    if (not isinstance(parameters, dict)
+            or not all(isinstance(k, str) and type(v) in (int, float)
+                       and abs(v) <= sys.float_info.max for k, v in parameters.items())):
+        raise ModelSchemaError("'parameters' must map strings to finite numbers")
+
+
 def load_model(document: str) -> PotentialModel:
     """Load a model from its JSON text form.
 
@@ -146,10 +149,7 @@ def load_model(document: str) -> PotentialModel:
         raise ModelSchemaError("coordinate names must be distinct")
     if len(coordinates) > MAX_DIM:
         raise ModelSchemaError(f"at most {MAX_DIM} coordinates, got {len(coordinates)}")
-    if (not isinstance(parameters, dict)  # json reads NaN, Infinity and 1e999 as floats
-            or not all(isinstance(k, str) and type(v) in (int, float)
-                       and abs(v) <= sys.float_info.max for k, v in parameters.items())):
-        raise ModelSchemaError("'parameters' must map strings to finite numbers")
+    _check_parameters(parameters)
     for key in [*coordinates, *parameters]:  # a parameter would shadow its coordinate
         if not re.fullmatch(expr.IDENTIFIER, key) or (key in coordinates and key in parameters):
             raise ModelSchemaError("coordinate and parameter names must be distinct "
@@ -196,7 +196,7 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, **overrides) -> PotentialModel:
-    """One of the built-in models, with optional parameter overrides."""
+    """A built-in model, its parameter overrides checked as a model file's parameters."""
     try:
         entry = _BUILTINS[name]
     except KeyError:
@@ -204,13 +204,12 @@ def builtin(name: str, **overrides) -> PotentialModel:
     params = dict(entry["parameters"])
     unknown = set(overrides) - set(params)
     if unknown:
-        raise ModelSchemaError(f"{name} has no parameter(s): "
-                               + ", ".join(sorted(unknown)))
+        raise ModelSchemaError(f"{name} has no parameter(s): {', '.join(sorted(unknown))}")
+    _check_parameters(overrides)
     params.update({k: float(v) for k, v in overrides.items()})
     for p in entry["positive"]:
         if not params[p] > 0.0:
-            raise ModelSchemaError(f"parameter {p} of {name} must be positive, "
-                                   f"got {params[p]}")
+            raise ModelSchemaError(f"parameter {p} of {name} must be positive, got {params[p]}")
     return replace(_parsed_builtin(name), parameters=params)
 
 

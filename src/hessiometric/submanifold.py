@@ -11,6 +11,7 @@ dual connection, each read from the pullback of a point or a batch (P, r).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
-from .geometry import _EPS, _amax, hessian_metric
+from .geometry import _EPS, _amax, _pointwise, hessian_metric
 from .jets import _item
 from .models import PotentialModel
 
@@ -209,21 +210,12 @@ def _riemann_parts(gamma: np.ndarray, dgamma: np.ndarray):
             b1, b1.swapaxes(-1, -2))
 
 
-def _flatness(gamma, dgamma, k, d, b1, b2):
-    """:func:`flatness_residual` of k*Gamma from the parts of Gamma's curvature:
-    scaling by k = 1 or 2 scales D by k and B1, B2 by k*k, exactly."""
-    g = k * _amax(gamma, 3)
-    scale = np.maximum(np.maximum(g * g, k * _amax(dgamma, 4)), _EPS)
-    return _item(_amax(k * d + k * k * b1 - k * k * b2, 4) / scale)
-
-
 @dataclass
 class CurvatureReport:
     """Curvature of the induced metric at a slice point (arrays for a batch);
     ``dual_flatness`` and ``residuals`` (antisymmetry, Bianchi, metric
     compatibility) are computed when read."""
 
-    metric: np.ndarray
     connection: Connection
     riemann: np.ndarray
     ricci: np.ndarray
@@ -234,8 +226,12 @@ class CurvatureReport:
     @property
     def dual_flatness(self):
         """Curvature residual of the dual connection 2*Gamma, flat in the adapted
-        affine chart (zero in exact arithmetic), from this report's Riemann parts."""
-        return _flatness(self.connection.gamma, self.connection.dgamma, 2.0, *self.parts)
+        affine chart (zero in exact arithmetic), from this report's Riemann parts:
+        doubling Gamma doubles D and quadruples B1 and B2, exactly."""
+        d, b1, b2 = self.parts
+        g = 2.0 * _amax(self.connection.gamma, 3)
+        scale = np.maximum(np.maximum(g * g, 2.0 * _amax(self.connection.dgamma, 4)), _EPS)
+        return _item(_amax(2.0 * d + 4.0 * b1 - 4.0 * b2, 4) / scale)
 
     @property
     def residuals(self) -> Mapping[str, float]:
@@ -261,14 +257,8 @@ def curvature(pb: PullbackData) -> CurvatureReport:
     riemann = d + b1 - b2
     ricci = np.einsum("...abad->...bd", riemann)
     scalar = np.einsum("...bd,...bd->...", conn.ginv, ricci)
-    return CurvatureReport(metric=pb.gbar, connection=conn, riemann=riemann,
-                           ricci=ricci, scalar=_item(scalar), pullback=pb, parts=(d, b1, b2))
-
-
-def flatness_residual(gamma: np.ndarray, dgamma: np.ndarray):
-    """Size of the curvature of a connection, normalized by the natural
-    scale of its coefficients (per point for a batch)."""
-    return _flatness(gamma, dgamma, 1.0, *_riemann_parts(gamma, dgamma))
+    return CurvatureReport(connection=conn, riemann=riemann, ricci=ricci, scalar=_item(scalar),
+                           pullback=pb, parts=(d, b1, b2))
 
 
 def dual_flatness_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
@@ -291,15 +281,14 @@ def dual_potential(pb: PullbackData) -> DualPotential:
     from the transform of the pulled-back potential and from the extensivity
     shortcut; a mismatch between the two, above MISMATCH_REL relative to
     1 + |value|, flags a non-extensive model."""
-    sl, shape = pb.slice, np.shape(pb.potential)
-    z, grad, grad_x = (np.ascontiguousarray(np.atleast_2d(a)) for a in (
-        pb.z, pb.gradient, pb.model.potential_jet(pb.x, order=1).gradient()))
+    sl = pb.slice
     # derivative of the potential along the trailing adapted coordinates
     trailing = sl.chart_inv[:, sl.slice_dim:].T
     # each point's sums round as for that point alone (a batched einsum
     # or matmul sums in another order)
-    value = _item(np.reshape([a @ b for a, b in zip(z, grad)], shape) - pb.potential)
-    extensive_form = _item(np.reshape([-(sl.constants @ (trailing @ g)) for g in grad_x], shape))
+    value = _item(np.array(_pointwise(operator.matmul, pb.z, pb.gradient)) - pb.potential)
+    extensive_form = _item(np.array(_pointwise(lambda g: -(sl.constants @ (trailing @ g)),
+                                               pb.model.potential_jet(pb.x, 1).gradient())))
     mismatch = abs(value - extensive_form) > MISMATCH_REL * (1.0 + abs(value))
     return DualPotential(value=value, extensive_form=extensive_form,
                          mismatch=mismatch)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hessiometric import PotentialModel, load_model
-from hessiometric.geometry import hessian_metric, kernel
+from hessiometric.geometry import NULL_REL, hessian_metric, kernel
 from hessiometric.jets import _space, affine_jets
 
 _EPS = 1e-300
@@ -283,6 +283,21 @@ def riemann_parts_reference(gamma, dgamma):
             np.einsum("...ade,...ecb->...abcd", gamma, gamma))
 
 
+def flatness_reference(gamma, dgamma):
+    """Size of the curvature of a connection, each quadratic part its own einsum,
+    normalized by the natural scale of its coefficients (per point for a batch)."""
+    riemann = (np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma)
+               + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+               - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
+    g = amax(gamma, 3)
+    return amax(riemann, 4) / np.maximum(np.maximum(g * g, amax(dgamma, 4)), 1e-300)
+
+
+def amax(a, k):
+    """Largest |entry| over the last k axes."""
+    return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
+
+
 # -- 40-digit scalar curvature of the KN constant-J slice ----------------
 
 @lru_cache(maxsize=None)
@@ -374,8 +389,8 @@ def complement_residual(vector, span_basis) -> float:
     return float(np.linalg.norm(residual) / (np.linalg.norm(vector) + _EPS))
 
 
-def involutivity_residual(model: PotentialModel, point, probe_count: int = 3,
-                          tol_rel: float = 1e-9) -> InvolutivityResult:
+def involutivity_residual(model: PotentialModel, point, probe_count: int = 3
+                          ) -> InvolutivityResult:
     """Finite-difference check that the kernel distribution closes
     under Lie brackets.
 
@@ -391,7 +406,7 @@ def involutivity_residual(model: PotentialModel, point, probe_count: int = 3,
     """
     point = np.atleast_1d(np.asarray(point, dtype=float))
     mf = hessian_metric(model, point)
-    kb = kernel(mf, tol_rel)
+    kb = kernel(mf)
     k = kb.basis.shape[0]
     if k < 2:
         return InvolutivityResult(residual=0.0, trivial=True, kernel_dim=k)
@@ -399,7 +414,7 @@ def involutivity_residual(model: PotentialModel, point, probe_count: int = 3,
     def projector(x):
         m = hessian_metric(model, x)
         lam, vec = np.linalg.eigh(m.g)
-        null = np.abs(lam) <= tol_rel * np.max(np.abs(lam))
+        null = np.abs(lam) <= NULL_REL * np.max(np.abs(lam))
         u = vec[:, null]
         return u @ u.T
 

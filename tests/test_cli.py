@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import sample_points
+from helpers import flatness_reference, sample_points
 from hessiometric import cli, errors, expr, geometry, models, submanifold
 from hessiometric.jets import Jet
 
@@ -80,6 +80,16 @@ def test_no_timestamp_reruns_are_byte_identical(capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first == second
+
+
+def test_report_does_not_accept_no_timestamp(capsys):
+    # its table carries no timestamp
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "ideal_gas", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_MODEL_ERROR
+    assert captured.out == ""
+    assert "unrecognized arguments: --no-timestamp" in captured.err
 
 
 def test_timestamp_present_by_default(capsys):
@@ -537,7 +547,7 @@ def _rows_formatted_per_value(model, sl, zs):
     inside = np.flatnonzero(model.domain_check(sl.embed(zs)))
     report = submanifold.curvature(submanifold.pullback_metric(model, sl, zs[inside]))
     conn = report.connection
-    flatness = submanifold.flatness_residual(2.0 * conn.gamma, 2.0 * conn.dgamma)
+    flatness = flatness_reference(2.0 * conn.gamma, 2.0 * conn.dgamma)
     for k, i in enumerate(inside):
         rows[i][-4:] = (["", "", "", "KERNEL"] if conn.singular[k] else
                         [fmt(report.scalar[k]), fmt(conn.eigenvalues[k, 0]),

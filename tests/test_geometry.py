@@ -10,7 +10,7 @@ from helpers import (EDGE_POINTS, complement_residual, involutivity_residual,
                      sample_points, symmetry_residual)
 from hessiometric import BUILTIN_NAMES, builtin, load_model
 from hessiometric.errors import DomainError
-from hessiometric.geometry import (MetricField, codazzi_residual, euler_defect,
+from hessiometric.geometry import (NULL_REL, MetricField, codazzi_residual, euler_defect,
                                    gibbs_duhem_residual, hessian_metric, kernel,
                                    psd_check)
 from hessiometric.jets import _space
@@ -163,12 +163,12 @@ def test_kernel_zero_matrix():
     assert np.allclose(kb.basis, np.eye(3))
 
 
-def _kernel_reference(g, tol_rel):
+def _kernel_reference(g):
     """One point's kernel as a loop: the null columns of ``eigh``, then each
     row's first entry of magnitude above 1e-14 made positive."""
     eigenvalues, eigenvectors = np.linalg.eigh(g)
     lam_max = float(np.max(np.abs(eigenvalues)))
-    null = (np.abs(eigenvalues) <= tol_rel * lam_max) | (lam_max == 0.0)
+    null = (np.abs(eigenvalues) <= NULL_REL * lam_max) | (lam_max == 0.0)
     basis = eigenvectors[:, null].T.copy()
     for row in basis:
         for x in row:
@@ -179,8 +179,7 @@ def _kernel_reference(g, tol_rel):
     return len(eigenvalues) - int(np.count_nonzero(null)), basis, eigenvalues
 
 
-@pytest.mark.parametrize("tol_rel", [1e-9, 0.0, 0.5])
-def test_kernel_of_a_batch_equals_the_per_point_loop(tol_rel):
+def test_kernel_of_a_batch_equals_the_per_point_loop():
     # one null mask and sign fix over the whole batch: leading zeros and
     # entries below 1e-14, negative leads, the zero matrix and rank 1
     rng = np.random.default_rng(23)
@@ -196,15 +195,16 @@ def test_kernel_of_a_batch_equals_the_per_point_loop(tol_rel):
         return MetricField(point=np.zeros(g.shape[:-1]), g=g, dg=None, potential=None,
                            gradient=None)
 
-    batch = kernel(field(gs), tol_rel)
+    batch = kernel(field(gs))
     for g, kb in zip(gs, batch):
-        rank, basis, eigenvalues = _kernel_reference(g, tol_rel)
-        for got in (kb, kernel(field(g), tol_rel)):
+        rank, basis, eigenvalues = _kernel_reference(g)
+        for got in (kb, kernel(field(g))):
             assert got.rank == rank
             assert np.array_equal(got.basis, basis)
             assert np.array_equal(np.signbit(got.basis), np.signbit(basis))
             assert np.array_equal(got.eigenvalues, eigenvalues)
-    assert len({kb.rank for kb in batch}) > 1
+    # ragged null counts: points with 0, 1 and 2 null eigenvalues in one batch
+    assert {0, 1, 2} <= {len(kb.basis) for kb in batch}
 
 
 def test_kernel_eigen_residual():

@@ -20,10 +20,15 @@ IDEAL_GAS_DOC = {
 }
 
 
+def entropy(model, point):
+    """The entropy at a point of the domain: minus the potential."""
+    return -model.potential_jet(point, order=1).value
+
+
 def test_load_ideal_gas_json():
     model = load_model(json.dumps(IDEAL_GAS_DOC))
     assert model.coordinates == ("U", "V", "N")
-    assert model.entropy_value([1, 1, 1]) == pytest.approx(0.0)
+    assert entropy(model, [1, 1, 1]) == pytest.approx(0.0)
 
 
 def test_load_missing_entropy():
@@ -77,7 +82,7 @@ def test_load_accepts_eight_coordinates_with_underscores():
     model = load_model(json.dumps({"name": "eight", "coordinates": names,
                                    "entropy": "+".join(f"ln({x})" for x in names)}))
     assert model.dim == 8
-    assert model.entropy_value([1.0] * 8) == 0.0
+    assert entropy(model, [1.0] * 8) == 0.0
 
 
 def test_load_invalid_json():
@@ -101,16 +106,18 @@ def test_load_an_integer_of_too_many_digits_is_a_schema_error():
 
 
 def test_builtin_values():
-    assert builtin("ideal_gas").entropy_value([1, 1, 1]) == pytest.approx(0.0)
-    assert builtin("paramagnet").entropy_value([1, 0, 1]) == pytest.approx(0.0)
-    assert builtin("kerr_newman_radiant").entropy_value([1, 0, 0]) \
+    assert entropy(builtin("ideal_gas"), [1, 1, 1]) == pytest.approx(0.0)
+    assert entropy(builtin("paramagnet"), [1, 0, 1]) == pytest.approx(0.0)
+    assert entropy(builtin("kerr_newman_radiant"), [1, 0, 0]) \
         == pytest.approx(0.5)
 
 
 def test_entropy_value_outside_the_domain_raises():
-    # the walk alone would give 0.0 at u = -1
+    # the walk alone gives 0.0 at u = -1
+    model = builtin("kerr_newman_radiant")
+    assert entropy(model, [-1, 0, 0]) == 0.0
     with pytest.raises(DomainError):
-        builtin("kerr_newman_radiant").entropy_value([-1, 0, 0])
+        model.require_domain([-1, 0, 0])
 
 
 def test_builtin_unknown_name():
@@ -131,13 +138,27 @@ def test_builtins_do_not_share_parameters():
     changed.parameters["R"] = 2.0
     fresh = builtin("ideal_gas")
     assert fresh.parameters == {"R": 1.0, "c": 1.5, "K": 1.0, "S0": 0.0}
-    assert fresh.entropy_value([1, 1, 1]) == pytest.approx(0.0)
-    assert changed.entropy_value([1, 2, 1]) == pytest.approx(2 * fresh.entropy_value([1, 2, 1]))
+    assert entropy(fresh, [1, 1, 1]) == pytest.approx(0.0)
+    assert entropy(changed, [1, 2, 1]) == pytest.approx(2 * entropy(fresh, [1, 2, 1]))
 
 
 def test_builtin_unknown_override():
     with pytest.raises(ModelSchemaError):
         builtin("ideal_gas", Z=2.0)
+
+
+@pytest.mark.parametrize("override", [{"S0": float("nan")}, {"R": float("inf")}, {"R": "2"},
+                                      {"c": True}, {"R": 10**400}],
+                         ids=["nan", "inf", "string", "bool", "1e400_integer"])
+def test_builtin_overrides_follow_the_model_file_parameter_rule(override):
+    with pytest.raises(ModelSchemaError, match="'parameters' must map strings to finite numbers"):
+        builtin("ideal_gas", **override)
+
+
+def test_builtin_accepts_finite_int_and_float_overrides():
+    model = builtin("ideal_gas", R=2, S0=-1e300)
+    assert model.parameters == {"R": 2.0, "c": 1.5, "K": 1.0, "S0": -1e300}
+    assert all(type(v) is float for v in model.parameters.values())
 
 
 def test_domain_checks():
@@ -154,7 +175,7 @@ def test_entropy_matches_float_oracle():
     for name, fn in ENTROPY_FNS.items():
         model = builtin(name)
         for p in sample_points(name, 20, rng):
-            assert model.entropy_value(p) == pytest.approx(fn(p), rel=1e-13)
+            assert entropy(model, p) == pytest.approx(fn(p), rel=1e-13)
 
 
 def test_paramagnet_fundamental_equation_roundtrip():
@@ -166,7 +187,7 @@ def test_paramagnet_fundamental_equation_roundtrip():
         U = rng.uniform(0.3, 3.0)
         I = rng.uniform(-1.0, 1.0)
         N = rng.uniform(0.3, 3.0)
-        S = model.entropy_value([U, I, N])
+        S = entropy(model, [U, I, N])
         U_back = N * R * T0 * math.exp(S / (N * R) + I**2 / (N**2 * I0**2))
         assert U_back == pytest.approx(U, rel=1e-12)
 

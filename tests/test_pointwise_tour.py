@@ -56,7 +56,7 @@ def _ambient(model, point):
 
 def _on_slice(model, sl, z):
     report = curvature(pullback_metric(model, sl, z))
-    return {"gbar": report.metric.tolist(), "scalar": report.scalar,
+    return {"gbar": report.pullback.gbar.tolist(), "scalar": report.scalar,
             "dual_flatness": report.dual_flatness}
 
 
