@@ -5,7 +5,7 @@ Hessian submanifolds, Ruppeiner-style curvature, and Legendre duality."""
 from .errors import (DegenerateSliceError, DomainError, ExprSyntaxError,
                      HessiometricError, ModelSchemaError, RankDeficientError,
                      SingularDualChartError, UnknownIdentifierError)
-from .expr import parse, pretty, validate, eval_jet
+from .expr import parse, validate, eval_jet
 from .geometry import (KernelBasis, MetricField, codazzi_residual,
                        euler_defect, gibbs_duhem_residual, hessian_metric,
                        kernel, psd_check)

@@ -167,21 +167,6 @@ def parse(text: str) -> Ast:
     return _Parser(text).parse()
 
 
-def pretty(ast: Ast) -> str:
-    """Fully parenthesized text form; re-parses to an identical AST within MAX_DEPTH."""
-    if isinstance(ast, Num):
-        return repr(ast.value)
-    if isinstance(ast, Name):
-        return ast.name
-    if isinstance(ast, Neg):
-        return f"(-{pretty(ast.operand)})"
-    if isinstance(ast, BinOp):
-        return f"({pretty(ast.left)}{ast.op}{pretty(ast.right)})"
-    if isinstance(ast, Call):
-        return f"{ast.fn}({pretty(ast.arg)})"
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 def names_in(ast: Ast):
     """All identifiers appearing in the expression."""
     if isinstance(ast, Name):

@@ -267,12 +267,17 @@ def constant_value(fn, v: float, order: int, *args) -> float:
     return value
 
 
+def _inverse_powers(v, order, lib):
+    """The derivatives of 1/v through ``order``: 1/v, -1/v^2, 2/v^3, -6/v^4, 24/v^5."""
+    return [1 / v if k == 0 else (-1) ** k * math.factorial(k) / lib.pow(v, k + 1)
+            for k in range(order + 1)]
+
+
 @_elementary
 def _reciprocal(v, order, lib):
     if lib.any(v == 0.0):
         raise DomainError("division by a jet with zero value")
-    return [1 / v, -1 / lib.pow(v, 2), 2 / lib.pow(v, 3), -6 / lib.pow(v, 4),
-            24 / lib.pow(v, 5)][: order + 1]
+    return _inverse_powers(v, order, lib)
 
 
 def _require_positive(name, v, lib):
@@ -285,8 +290,7 @@ def _require_positive(name, v, lib):
 @_elementary
 def ln(v, order, lib):
     _require_positive("ln", v, lib)
-    return [lib.log(v), 1 / v, -1 / lib.pow(v, 2), 2 / lib.pow(v, 3),
-            -6 / lib.pow(v, 4)][: order + 1]
+    return [lib.log(v)] + _inverse_powers(v, order - 1, lib)
 
 
 @_elementary
@@ -298,8 +302,9 @@ def exp(v, order, lib):
 def sqrt(v, order, lib):
     _require_positive("sqrt", v, lib)
     s = lib.sqrt(v)
-    return [s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
-            -0.9375 / (s * lib.pow(v, 3))][: order + 1]
+    terms = (lambda: s, lambda: 0.5 / s, lambda: -0.25 / (s * v),
+             lambda: 0.375 / (s * v * v), lambda: -0.9375 / (s * lib.pow(v, 3)))
+    return [f() for f in terms[: order + 1]]
 
 
 @_elementary

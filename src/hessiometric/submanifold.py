@@ -1,12 +1,13 @@
 """Linear slices of the state space and their intrinsic geometry.
 
-A slice {x : Bx = c} in a thermodynamic chart carries an adapted chart
-whose trailing coordinates are the constraint values; the leading
-coordinates z parametrize the slice.  The pulled-back potential is again
-a Hessian potential in z, which gives the induced metric, its
-Levi-Civita connection and curvature (the Ruppeiner-style scalar), the
-Legendre-dual potential and dual coordinates, and the flatness of the
-dual connection, each read from the pullback of a point or a batch (P, r).
+A slice {x : Bx = c} in a thermodynamic chart is charted by its free
+coordinates z: x = J z + B^+ c, where J is the identity on the coordinates
+that column-pivoted elimination of B leaves free and solves Bx = c for the
+pivot ones.  The pulled-back potential is again a Hessian potential in z,
+which gives the induced metric, its Levi-Civita connection and curvature
+(the Ruppeiner-style scalar), the Legendre-dual potential and dual
+coordinates, and the flatness of the dual connection, each read from the
+pullback of a point or a batch (P, r).
 """
 
 from __future__ import annotations
@@ -29,23 +30,17 @@ MISMATCH_REL = 1e-8    # relative gap of the two dual potentials that flags a mi
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """Linear constraints Bx = c plus the adapted chart x~ = Tx whose
-    last rows are exactly B."""
+    """Linear constraints Bx = c and their chart x = jacobian @ z + offset."""
 
     constraints: np.ndarray  # B, (n-r) x n
     constants: np.ndarray    # c, (n-r,)
-    chart: np.ndarray        # T, n x n, last n-r rows equal B
-    chart_inv: np.ndarray
-    offset: np.ndarray       # the ambient point of z = 0
+    jacobian: np.ndarray     # dx/dz, n x r: the identity on the free rows, B @ J = 0
+    trailing: np.ndarray     # B^+ = dx/dc, n x (n-r)
+    offset: np.ndarray       # B^+ c, the slice's point nearest the origin (z = 0)
 
     @property
     def slice_dim(self) -> int:
         return self.constraints.shape[1] - self.constraints.shape[0]
-
-    @property
-    def jacobian(self) -> np.ndarray:
-        """Constant Jacobian of the embedding z -> x (n x r)."""
-        return self.chart_inv[:, : self.slice_dim]
 
     def embed(self, z) -> np.ndarray:
         """Ambient point(s) of z, (r,) or (P, r), each rounded as alone."""
@@ -56,11 +51,12 @@ class SliceSpec:
 def make_slice(B, c) -> SliceSpec:
     """Build a slice spec from constraints Bx = c.
 
-    The adapted chart completes B with standard basis vectors chosen by
-    column-pivoted QR, orthogonalized against B's row space; axis-aligned
-    constraints therefore keep the remaining coordinates verbatim.  Greedy
-    pivots (largest residual norm, as LAPACK's) may break exact ties of an
-    integer B with several rows differently.  Non-finite B, c: DomainError.
+    Greedy column-pivoted elimination (largest residual norm first, as
+    LAPACK's pivoted QR) picks the pivot coordinates; the others are free and
+    chart the slice, so axis-aligned constraints keep them verbatim.  Exact
+    ties of an integer B with several rows may break differently from LAPACK.
+    A pivot residual <= 1e-12 |B|_F is a RankDeficientError; non-finite B, c:
+    DomainError.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -71,32 +67,23 @@ def make_slice(B, c) -> SliceSpec:
         raise ValueError(f"constants have shape {c.shape}, expected ({m},)")
     if m >= n:
         raise RankDeficientError("constraints leave no slice dimensions")
-    r = n - m
 
-    scale = np.linalg.norm(B)
-    q_full, r_fact = np.linalg.qr(B.T, mode="complete")
-    diag = np.abs(np.diag(r_fact[:m, :m]))
-    if np.any(diag <= 1e-12 * scale):
-        raise RankDeficientError("constraint matrix is rank-deficient")
-    # orthonormal basis of B's row space, column-major as LAPACK returns
-    # it: the layout decides how the projections below round
-    q_rows = np.asfortranarray(q_full[:, :m])
-
-    pivots, rest = [], B.copy()
+    pivots, rest, tiny = [], B.copy(), 1e-12 * np.linalg.norm(B)
     for _ in range(m):
         pivots.append(int(np.argmax(np.sum(rest * rest, axis=0))))
-        q = rest[:, pivots[-1]] / np.linalg.norm(rest[:, pivots[-1]])
+        norm = np.linalg.norm(rest[:, pivots[-1]])
+        if norm <= tiny:
+            raise RankDeficientError("constraint matrix is rank-deficient")
+        q = rest[:, pivots[-1]] / norm
         rest -= np.outer(q, q @ rest)
-    free = [j for j in range(n) if j not in pivots][:r]
-    rows = np.empty((r, n))
-    for i, j in enumerate(free):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows[i] = e - q_rows @ (q_rows.T @ e)
-    T = np.vstack([rows, B])
-    T_inv = np.linalg.inv(T)
-    return SliceSpec(constraints=B, constants=c, chart=T, chart_inv=T_inv,
-                     offset=T_inv[:, r:] @ c)
+    free = [j for j in range(n) if j not in pivots]
+    jacobian = np.zeros((n, n - m))
+    jacobian[free] = np.eye(n - m)
+    # 0.0 - x, not -x: a zero stays +0.0, which expr.environment folds
+    jacobian[pivots] = 0.0 - np.linalg.solve(B[:, pivots], B[:, free])
+    trailing = np.linalg.pinv(B)
+    return SliceSpec(constraints=B, constants=c, jacobian=jacobian, trailing=trailing,
+                     offset=trailing @ c)
 
 
 # -- pulled-back potential and metric ----------------------------------
@@ -221,17 +208,17 @@ class CurvatureReport:
     ricci: np.ndarray
     scalar: float
     pullback: PullbackData = field(repr=False)
-    parts: tuple = field(repr=False)  # (D, B1, B2) of :func:`_riemann_parts`
 
     @property
     def dual_flatness(self):
         """Curvature residual of the dual connection 2*Gamma, flat in the adapted
-        affine chart (zero in exact arithmetic), from this report's Riemann parts:
-        doubling Gamma doubles D and quadruples B1 and B2, exactly."""
-        d, b1, b2 = self.parts
-        g = 2.0 * _amax(self.connection.gamma, 3)
-        scale = np.maximum(np.maximum(g * g, 2.0 * _amax(self.connection.dgamma, 4)), _EPS)
-        return _item(_amax(2.0 * d + 4.0 * b1 - 4.0 * b2, 4) / scale)
+        affine chart (zero in exact arithmetic), from the Riemann parts of 2*Gamma
+        (products of Gamma scaled by 4 would round apart where they underflow)."""
+        gamma, dgamma = 2.0 * self.connection.gamma, 2.0 * self.connection.dgamma
+        d, b1, b2 = _riemann_parts(gamma, dgamma)
+        g = _amax(gamma, 3)
+        scale = np.maximum(np.maximum(g * g, _amax(dgamma, 4)), _EPS)
+        return _item(_amax(d + b1 - b2, 4) / scale)
 
     @property
     def residuals(self) -> Mapping[str, float]:
@@ -250,15 +237,15 @@ class CurvatureReport:
 
 def curvature(pb: PullbackData) -> CurvatureReport:
     """Riemann, Ricci and scalar curvature of the induced metric at a
-    slice point, and, when read, the dual flatness from the same Riemann parts
-    (arrays for a batch, meaningless where ``connection.singular``)."""
+    slice point, and, when read, the dual flatness (arrays for a batch,
+    meaningless where ``connection.singular``)."""
     conn = connection(pb)
     d, b1, b2 = _riemann_parts(conn.gamma, conn.dgamma)
     riemann = d + b1 - b2
     ricci = np.einsum("...abad->...bd", riemann)
     scalar = np.einsum("...bd,...bd->...", conn.ginv, ricci)
     return CurvatureReport(connection=conn, riemann=riemann, ricci=ricci, scalar=_item(scalar),
-                           pullback=pb, parts=(d, b1, b2))
+                           pullback=pb)
 
 
 def dual_flatness_residual(model: PotentialModel, sl: SliceSpec, z) -> float:
@@ -282,12 +269,10 @@ def dual_potential(pb: PullbackData) -> DualPotential:
     shortcut; a mismatch between the two, above MISMATCH_REL relative to
     1 + |value|, flags a non-extensive model."""
     sl = pb.slice
-    # derivative of the potential along the trailing adapted coordinates
-    trailing = sl.chart_inv[:, sl.slice_dim:].T
     # each point's sums round as for that point alone (a batched einsum
-    # or matmul sums in another order)
+    # or matmul sums in another order); B^+ = dx/dc reads the c-derivative
     value = _item(np.array(_pointwise(operator.matmul, pb.z, pb.gradient)) - pb.potential)
-    extensive_form = _item(np.array(_pointwise(lambda g: -(sl.constants @ (trailing @ g)),
+    extensive_form = _item(np.array(_pointwise(lambda g: -(sl.constants @ (sl.trailing.T @ g)),
                                                pb.model.potential_jet(pb.x, 1).gradient())))
     mismatch = abs(value - extensive_form) > MISMATCH_REL * (1.0 + abs(value))
     return DualPotential(value=value, extensive_form=extensive_form,

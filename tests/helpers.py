@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from hessiometric import PotentialModel, load_model
+from hessiometric.expr import BinOp, Call, Name, Neg, Num
 from hessiometric.geometry import NULL_REL, hessian_metric, kernel
 from hessiometric.jets import _space, affine_jets
 
@@ -103,8 +104,13 @@ def extract(jet, idx):
 
 
 def project(sl, x):
-    """Slice coordinates of an ambient point on the slice ``sl``."""
-    return (sl.chart @ np.asarray(x, dtype=float))[: sl.slice_dim]
+    """Slice coordinates of the orthogonal projection of an ambient point onto
+    the slice ``sl``: its free coordinates, the rows where the Jacobian is the
+    identity, less those of the offset (a pivot row equal to a unit row reads
+    the same coordinate up to roundoff)."""
+    jac, x = sl.jacobian, np.asarray(x, dtype=float)
+    free = [np.flatnonzero((jac == e).all(axis=1))[0] for e in np.eye(jac.shape[1])]
+    return (x - sl.trailing @ (sl.constraints @ x))[free]
 
 
 # -- closed-form metric matrices (hand-transcribed) --------------------
@@ -210,10 +216,25 @@ def perturbed_model(base_doc, epsilon):
     return load_model(json.dumps(doc))
 
 
+def pretty(ast):
+    """Fully parenthesized text form of an expression AST; re-parses to an
+    identical AST within expr.MAX_DEPTH."""
+    if isinstance(ast, Num):
+        return repr(ast.value)
+    if isinstance(ast, Name):
+        return ast.name
+    if isinstance(ast, Neg):
+        return f"(-{pretty(ast.operand)})"
+    if isinstance(ast, BinOp):
+        return f"({pretty(ast.left)}{ast.op}{pretty(ast.right)})"
+    if isinstance(ast, Call):
+        return f"{ast.fn}({pretty(ast.arg)})"
+    raise TypeError(f"not an AST node: {ast!r}")
+
+
 def model_doc(model):
     """Reconstruct a JSON document for a loaded model (uses the pretty
     printer, so expressions stay equivalent)."""
-    from hessiometric.expr import pretty
     return {
         "name": model.name,
         "coordinates": list(model.coordinates),

@@ -659,20 +659,19 @@ def test_curvature_row_evaluates_the_potential_once(monkeypatch, capsys):
         assert code == cli.EXIT_OK
         return Counter(row.rsplit(",", 1)[1] for row in out.splitlines()[1:])
 
-    # (the call also inverts the adapted chart of its slice once)
     statuses = scan("0.3:2:8,0.05:0.35:8")
     assert statuses["OK"] + statuses["DOMAIN"] == 64
     assert statuses["OK"] and statuses["DOMAIN"]
     assert counts["jet_order_4"] == 1
     assert counts["hessian_metric"] == 0
-    assert counts["eigvalsh"] == 1 and counts["inv"] == 1 + 1
+    assert counts["eigvalsh"] == 1 and counts["inv"] == 1
     # one value-only domain check: one order-0 walk per constraint
     assert counts["domain_check"] == 1
     assert counts["walk_order_0"] == len(model.domain) and counts["walk_order_1"] == 0
     assert counts["compose"] == 1 + 2  # u^2 in the domain check, then the pullback
     assert scan("0.05:0.2:8,0.05:0.35:8") == {"DOMAIN": 64}
     assert counts["jet_order_4"] == 0 and counts["domain_check"] == 1
-    assert counts["eigvalsh"] == 0 and counts["inv"] == 0 + 1
+    assert counts["eigvalsh"] == 0 and counts["inv"] == 0
 
 
 def _count_ambient_work(monkeypatch):

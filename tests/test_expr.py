@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hessiometric.expr as ex
-from helpers import extract
+from helpers import extract, pretty
 from hessiometric import BUILTIN_NAMES, builtin, jets, load_model
 from hessiometric.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from hessiometric.expr import BinOp, Call, Name, Neg, Num
@@ -171,7 +171,7 @@ _ast = st.recursive(_leaf, _node, max_leaves=12)
 @settings(max_examples=200, deadline=None)
 @given(_ast)
 def test_pretty_print_roundtrip(ast):
-    assert ex.parse(ex.pretty(ast)) == ast
+    assert ex.parse(pretty(ast)) == ast
 
 
 @settings(max_examples=100, deadline=None)

@@ -228,6 +228,12 @@ def test_euler_defect_ideal_gas():
     assert euler_defect(shifted, [2, 3, 7]) == pytest.approx(5.0, abs=1e-11)
 
 
+def test_euler_defect_reads_no_derivative_above_the_gradient():
+    # the order-1 jet is finite at U = 1e-110; ln's second derivative at
+    # U^1.5 = 1e-165 is not
+    assert euler_defect(builtin("ideal_gas"), [1e-110, 1, 1]) == 0.0
+
+
 def test_euler_defect_kn_naive_not_constant():
     model = builtin("kerr_newman_naive")
     d1 = euler_defect(model, [2, 0.5, 0.3])

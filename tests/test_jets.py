@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import constant_jet, extract, seed_jet
 from hessiometric.errors import DomainError
-from hessiometric.jets import Jet, _product, _space, exp, ln, pow_const, sqrt
+from hessiometric.jets import (_COLUMN, _FLOAT, Jet, _product, _reciprocal, _space, exp,
+                               ln, pow_const, sqrt)
 
 
 def test_seed_two_vars():
@@ -323,6 +324,28 @@ def test_batch_fails_where_a_point_fails():
         1 / Jet(1, 2, [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         x * seed_jet((1.0,), 0, 2)  # batched times unbatched
+
+
+# -- derivative tables compute only the orders asked for ------------------
+
+@pytest.mark.parametrize("fn, args", [(ln, ()), (sqrt, ()), (_reciprocal, ()), (exp, ()),
+                                      (pow_const, (2.5,))])
+def test_tables_through_order_k_are_the_order_4_table_cut(fn, args):
+    values = [1e-3, 0.37, 1.0, 2.5, 40.0]
+    for lib, v in [(_FLOAT, v) for v in values] + [(_COLUMN, np.array(values))]:
+        full = fn.table(v, 4, lib, *args)
+        for k in range(5):
+            cut = fn.table(v, k, lib, *args)
+            assert len(cut) == k + 1 and all(map(_same_bits, cut, full))
+
+
+@pytest.mark.parametrize("fn, v, k", [(ln, 1e-200, 1), (sqrt, 1e-300, 1), (_reciprocal, 1e-100, 2)])
+def test_an_order_k_jet_ignores_the_derivatives_above_k(fn, v, k):
+    # only the derivative of order k + 1 leaves the float range at v
+    for point in ((v,), [[v, 1.0]]):
+        assert np.isfinite(fn(seed_jet(point, 0, k)).coeffs).all()
+        with pytest.raises(DomainError):
+            fn(seed_jet(point, 0, k + 1))
 
 
 # -- float operands --------------------------------------------------------

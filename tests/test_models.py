@@ -269,6 +269,14 @@ def test_value_only_domain_mask_matches_order_one():
         assert any(expected) and (model is always or not all(expected))
 
 
+def test_a_value_only_domain_check_reads_no_derivative():
+    # -1/U^2 leaves the float range at U = 1e-200, where ln(U) + 1000 is about 539
+    model = load_model(json.dumps({"name": "l", "coordinates": ["U"], "entropy": "ln(U)",
+                                   "domain": ["ln(U) + 1000"]}))
+    assert model.domain_check([1e-200])
+    assert model.domain_check(np.array([[1e-200], [2e-200]])).tolist() == [True, True]
+
+
 def test_single_point_metric_makes_no_order_one_walk(monkeypatch):
     orders = Counter()
 

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -37,16 +37,23 @@ def random_interior_slice(rng, model, ndrop=1, box=(0.8, 1.5)):
 
 def test_axis_slice_keeps_coordinates():
     sl = make_slice([0, 0, 1], [1])
-    assert np.allclose(sl.chart, np.eye(3))
-    assert np.allclose(sl.embed([1.3, 0.7]), [1.3, 0.7, 1.0])
+    assert np.array_equal(sl.jacobian, np.eye(3)[:, :2])
+    assert not np.signbit(sl.jacobian).any()  # +0.0: a constant coordinate folds
+    assert np.array_equal(sl.offset, [0, 0, 1])
+    assert np.array_equal(sl.embed([1.3, 0.7]), [1.3, 0.7, 1.0])
 
 
 def test_sum_slice_adapted_chart():
     sl = make_slice([1, 1, 1], [3])
     assert sl.slice_dim == 2
-    assert np.allclose(sl.chart[2], [1, 1, 1])
+    # a tie pivots the first column; the other two chart the slice
+    assert np.array_equal(sl.jacobian, [[-1, -1], [1, 0], [0, 1]])
+    assert np.allclose(sl.offset, [1, 1, 1], rtol=0, atol=1e-15)
     x = sl.embed([0.1, -0.2])
     assert np.sum(x) == pytest.approx(3.0)
+    # U + V = s: z = ((V - U) / 2, N), V less the offset's s / 2
+    sl = make_slice([1, 1, 0], [3])
+    assert np.allclose(project(sl, [1.0, 2.0, 0.7]), [0.5, 0.7], rtol=0, atol=1e-15)
 
 
 def test_rank_deficient_rejected():
@@ -66,33 +73,6 @@ def test_embedding_jacobian_annihilated_by_constraints():
         assert np.max(np.abs(B @ sl.jacobian)) <= 1e-12
 
 
-def test_chart_last_rows_equal_constraints_exactly():
-    rng = np.random.default_rng(37)
-    B = rng.standard_normal((2, 5))
-    sl = make_slice(B, [0.4, -0.1])
-    assert np.array_equal(sl.chart[3:], B)
-
-
-def _lapack_chart(B):
-    """The adapted chart as built from scipy's QR and pivoted QR."""
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    m, n = B.shape
-    q_full, _ = scipy_linalg.qr(B.T)
-    q_rows = q_full[:, :m]
-    pivots = scipy_linalg.qr(B, pivoting=True)[2]
-    free = [j for j in range(n) if j not in set(pivots[:m])][: n - m]
-    rows = np.empty((n - m, n))
-    for i, j in enumerate(free):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows[i] = e - q_rows @ (q_rows.T @ e)
-    if np.linalg.matrix_rank(rows, tol=1e-10) < n - m:
-        rows = q_full[:, m:].T
-    chart = np.vstack([rows, B])
-    return chart, np.linalg.inv(chart)
-
-
 def _chart_test_slices():
     slices = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [1, -1, 0], [1, 1, 0],
               [0.3, 0.7, 0.2], [1, 2, 3], [0, 1],
@@ -105,16 +85,26 @@ def _chart_test_slices():
 
 
 def test_adapted_chart_matches_lapack_pivoted_qr():
+    # the free coordinates are those scipy's pivoted QR does not pivot; offset
+    # and dx/dc are the pseudo-inverse's
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     for B in _chart_test_slices():
-        sl = make_slice(B, np.ones(np.atleast_2d(B).shape[0]))
-        chart, chart_inv = _lapack_chart(B)
-        assert np.array_equal(sl.chart, chart)
-        assert np.array_equal(sl.chart_inv, chart_inv)
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        m, n = B.shape
+        c = np.linspace(1, 2, m)
+        sl = make_slice(B, c)
+        pivots = set(scipy_linalg.qr(B, pivoting=True)[2][:m])
+        free = [j for j in range(n) if j not in pivots]
+        assert np.array_equal(sl.jacobian[free], np.eye(n - m))
+        assert np.max(np.abs(B @ sl.jacobian)) <= 1e-12
+        pinv = scipy_linalg.pinv(B)
+        assert np.max(np.abs(sl.trailing - pinv)) <= 1e-14 * np.max(np.abs(pinv))
+        assert np.max(np.abs(sl.offset - pinv @ c)) <= 1e-14 * np.max(np.abs(pinv @ c))
 
 
-def test_projected_chart_rows_have_full_rank():
-    # the greedy pivots make B[:, pivots] nonsingular, so the projections
-    # of the free unit vectors span the complement of B's row space
+def test_rank_decision_matches_matrix_rank():
+    # the pivot residuals decide: a slice is built iff B has full row rank,
+    # and then its Jacobian spans B's null space
     rng = np.random.default_rng(41)
     slices = _chart_test_slices()
     for _ in range(300):
@@ -126,11 +116,13 @@ def test_projected_chart_rows_have_full_rank():
     checked = 0
     for B in slices:
         B = np.atleast_2d(B)
+        full_rank = np.linalg.matrix_rank(B) == B.shape[0]
         try:
             sl = make_slice(B, np.ones(B.shape[0]))
         except RankDeficientError:
-            continue  # a random integer B may be singular
-        assert np.linalg.matrix_rank(sl.chart[: sl.slice_dim], tol=1e-10) == sl.slice_dim
+            assert not full_rank  # a random integer B may be singular
+            continue
+        assert full_rank and np.max(np.abs(B @ sl.jacobian)) <= 1e-12
         checked += 1
     assert checked > 700
 
@@ -344,14 +336,20 @@ def _tensors(r, k):
         -1e150, 1e150, allow_nan=False, allow_infinity=False))
 
 
+# products that underflow: 4 * (g0 * g) is 0.0 where (2 g0) * (2 g) is not
+_SUBNORMAL_GAMMA = np.full((2, 2, 2), 9.56081044e-267)
+_SUBNORMAL_GAMMA[0, 0, 0] = 7.66149469e-59
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda r: st.tuples(_tensors(r, 3), _tensors(r, 4))))
+@example((_SUBNORMAL_GAMMA, np.zeros((2, 2, 2, 2))))
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
 def test_dual_flatness_from_parts_on_arbitrary_tensors(tensors):
     gamma, dgamma = tensors
     conn = Connection(eigenvalues=None, ginv=None, gamma=gamma, dgamma=dgamma, singular=None)
     report = CurvatureReport(connection=conn, riemann=None, ricci=None, scalar=None,
-                             pullback=None, parts=_riemann_parts(gamma, dgamma))
+                             pullback=None)
     assert np.array_equal(report.dual_flatness,
                           flatness_reference(2.0 * gamma, 2.0 * dgamma), equal_nan=True)
 
