@@ -67,12 +67,11 @@ def _amax(a: np.ndarray, k: int):
     return np.maximum.reduce(np.abs(a), axis=tuple(range(-k, 0)))
 
 
-def _pointwise(fn, *arrays):
-    """``fn(*arrays)`` at one point, whose first array is (n,); for a batch (P, n),
-    the list of ``fn`` on each point's C-contiguous slices, which round as alone."""
-    if arrays[0].ndim == 1:
-        return fn(*arrays)
-    return [fn(*rows) for rows in zip(*map(np.ascontiguousarray, arrays))]
+def _dot(a, b):
+    """Sum of a[..., i] * b[..., i] over the last axis, added term by term in
+    index order, so a point rounds the same alone or in a batch on any BLAS."""
+    terms = np.multiply(a, b)
+    return sum((terms[..., i] for i in range(1, terms.shape[-1])), terms[..., 0])
 
 
 def kernel(mf: MetricField):
@@ -110,17 +109,17 @@ def euler_defect(model: PotentialModel, point):
 
 
 def _defect(point, potential, gradient):
-    return _item(np.array(_pointwise(lambda x, phi, grad: x @ grad - phi,
-                                     point, potential, gradient)))
+    return _item(_dot(point, gradient) - potential)
 
 
 def gibbs_duhem_residual(mf: MetricField):
     """Normalized size of g applied to the radiant vector, whose components are
-    the point (per point for a batch: a batched ``norm`` rounds otherwise).  Zero
+    the point (per point for a batch), with Euclidean and Frobenius norms.  Zero
     (to roundoff) exactly when the radiant direction is null; DomainError where
     it overflows."""
-    residual = np.array(_pointwise(lambda rho, g: np.linalg.norm(g @ rho) / (
-        np.linalg.norm(g) * np.linalg.norm(rho) + _EPS), mf.point, mf.g))
+    rho, g = mf.point, mf.g.reshape(mf.g.shape[:-2] + (-1,))  # g's entries in one row
+    g_rho = _dot(mf.g, rho[..., None, :])
+    residual = np.sqrt(_dot(g_rho, g_rho)) / (np.sqrt(_dot(g, g)) * np.sqrt(_dot(rho, rho)) + _EPS)
     if not np.isfinite(residual).all():
         raise DomainError("Gibbs-Duhem residual is not finite")
     return _item(residual)

@@ -12,7 +12,6 @@ pullback of a point or a batch (P, r).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateSliceError, DomainError, RankDeficientError,
                      SingularDualChartError)
-from .geometry import _EPS, _amax, _pointwise, hessian_metric
+from .geometry import _EPS, _amax, _dot, hessian_metric
 from .jets import _item
 from .models import PotentialModel
 
@@ -45,7 +44,7 @@ class SliceSpec:
     def embed(self, z) -> np.ndarray:
         """Ambient point(s) of z, (r,) or (P, r), each rounded as alone."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        return (self.jacobian @ z[..., None])[..., 0] + self.offset
+        return _dot(self.jacobian, z[..., None, :]) + self.offset
 
 
 def make_slice(B, c) -> SliceSpec:
@@ -269,11 +268,10 @@ def dual_potential(pb: PullbackData) -> DualPotential:
     shortcut; a mismatch between the two, above MISMATCH_REL relative to
     1 + |value|, flags a non-extensive model."""
     sl = pb.slice
-    # each point's sums round as for that point alone (a batched einsum
-    # or matmul sums in another order); B^+ = dx/dc reads the c-derivative
-    value = _item(np.array(_pointwise(operator.matmul, pb.z, pb.gradient)) - pb.potential)
-    extensive_form = _item(np.array(_pointwise(lambda g: -(sl.constants @ (sl.trailing.T @ g)),
-                                               pb.model.potential_jet(pb.x, 1).gradient())))
+    # B^+ = dx/dc reads the c-derivative of the ambient gradient
+    grad_x = pb.model.potential_jet(pb.x, 1).gradient()
+    value = _item(_dot(pb.z, pb.gradient) - pb.potential)
+    extensive_form = _item(-_dot(sl.constants, _dot(sl.trailing.T, grad_x[..., None, :])))
     mismatch = abs(value - extensive_form) > MISMATCH_REL * (1.0 + abs(value))
     return DualPotential(value=value, extensive_form=extensive_form,
                          mismatch=mismatch)
@@ -310,5 +308,5 @@ def legendre_invariance_residual(pb: PullbackData) -> float:
     # gradient of the dual potential in the dual chart is z itself, so its
     # Hessian is jac_inv, the Jacobian of z as a function of the dual chart
     jac_inv = np.linalg.inv(jac)
-    metric_dual_chart = jac_inv.swapaxes(-1, -2) @ pb.gbar @ jac_inv
+    metric_dual_chart = np.einsum("...ba,...bc,...cd->...ad", jac_inv, pb.gbar, jac_inv)
     return _item(_amax(jac_inv - metric_dual_chart, 2) / (_amax(jac_inv, 2) + _EPS))

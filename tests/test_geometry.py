@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,44 @@ def test_batched_metric_field_diagnostics_match_single_points(name):
                                         gibbs_duhem_residual(mf), codazzi_residual(mf),
                                         mf.euler_defect)
         assert mf.euler_defect.hex() == euler_defect(model, point).hex()
+
+
+# prints the per-point sums whose batch differs from its points alone
+_BATCH_OR_ALONE = """
+import numpy as np
+from helpers import project, sample_points
+from hessiometric import BUILTIN_NAMES, builtin
+from hessiometric.geometry import euler_defect, gibbs_duhem_residual, hessian_metric
+from hessiometric.submanifold import dual_potential, make_slice, pullback_metric
+
+for name in BUILTIN_NAMES:
+    model, row = builtin(name), [0.3, 0.5, 1.0]
+    xs = sample_points(name, 24, np.random.default_rng(43))
+    sl = make_slice([row], [float(np.dot(row, xs[0]))])
+    zs = np.array([project(sl, x) for x in xs])
+    zs = zs[model.domain_check(sl.embed(zs))]
+    dp = dual_potential(pullback_metric(model, sl, zs))
+    alone = [dual_potential(pullback_metric(model, sl, z)) for z in zs]
+    pairs = {"euler_defect": (euler_defect(model, xs), [euler_defect(model, x) for x in xs]),
+             "gibbs_duhem_residual": (gibbs_duhem_residual(hessian_metric(model, xs)),
+                                      [gibbs_duhem_residual(hessian_metric(model, x)) for x in xs]),
+             "embed": (sl.embed(zs), [sl.embed(z) for z in zs]),
+             "dual_potential": ([dp.value, dp.extensive_form],
+                                [[d.value for d in alone], [d.extensive_form for d in alone]])}
+    for label, (batch, single) in pairs.items():
+        if np.asarray(batch).tobytes() != np.asarray(single).tobytes():
+            print(name, label)
+"""
+
+
+def test_batch_sums_round_as_alone_under_another_blas_kernel():
+    # OpenBLAS's Prescott kernel sums a dot product in another order than the
+    # kernel it picks on a modern x86-64 CPU; the per-point sums do not use BLAS
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src")])
+    proc = subprocess.run([sys.executable, "-c", _BATCH_OR_ALONE], capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -14,10 +14,15 @@ SLICES = ([[0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]],          # axis-aligned
           [[1, 0, 0], [0, 1, 1]])                         # two rows
 
 
+def _in_index_order(a, b):
+    """sum of a[i] * b[i], added term by term in index order"""
+    return sum(x * y for x, y in zip(a, b))
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_batch_gives_each_point_alone(name):
-    # each point's r-term sums z.grad and c.(B^+ grad) round as for that
-    # point alone; a batched einsum or matmul changes the last bits of some
+    # each point's sums z.grad and c.(B^+ grad) add their terms in index
+    # order, alone or in a batch; BLAS's dot product may add them in another
     model, rng = builtin(name), np.random.default_rng(29)
     for B in SLICES:
         x0 = sample_points(name, 1, rng)[0]
@@ -34,8 +39,9 @@ def test_batch_gives_each_point_alone(name):
             dp_one = dual_potential(one)
             assert type(dp_one.mismatch) is bool
             grad_x = model.potential_jet(one.x, order=1).gradient()
-            assert dp_one.value == float(z @ one.gradient - one.potential)
-            assert dp_one.extensive_form == float(-(sl.constants @ (sl.trailing.T @ grad_x)))
+            assert dp_one.value == float(_in_index_order(z, one.gradient) - one.potential)
+            assert dp_one.extensive_form == float(-_in_index_order(
+                sl.constants, [_in_index_order(row, grad_x) for row in sl.trailing.T]))
             assert (dp_one.value, dp_one.extensive_form, dp_one.mismatch) == \
                 (dp.value[i], dp.extensive_form[i], dp.mismatch[i])
             assert legendre_invariance_residual(one) == residual[i]

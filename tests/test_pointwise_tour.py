@@ -4,10 +4,12 @@ For each builtin: the metric, its derivatives, the kernel and the Euler
 defect at 25 seeded points and at its in-domain ``EDGE_POINTS``; the
 induced metric, scalar curvature and dual flatness at seeded points of an
 axis-aligned and an oblique slice.  Floats are written with 17 significant
-digits, so the file records every bit.  Regenerate it (only when a change
-of arithmetic order is meant, see ROADMAP.md) with
+digits, so the file records every bit, the LAPACK results' as the
+OpenBLAS kernel ``Haswell`` rounds them (``conftest.py`` pins it).
+Regenerate it (only when a change of arithmetic order is meant, see
+ROADMAP.md) with
 
-    PYTHONPATH=src python tests/test_pointwise_tour.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_pointwise_tour.py
 """
 
 import json
