@@ -195,10 +195,9 @@ _SHAPE = ""  # environment key of a jet giving the walk its shape; no identifier
 _CALLS = {"ln": jets.ln, "exp": jets.exp, "sqrt": jets.sqrt}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv}
-_FOLD = {"+": lambda a, b, order: a + b, "-": lambda a, b, order: a - b,
-         "*": lambda a, b, order: a * b + 0.0,
-         "/": lambda a, b, order: a * jets.constant_value(jets._reciprocal, b, order) + 0.0,
-         "^": lambda a, b, order: jets.constant_value(jets.pow_const, a, order, b)}
+_FOLD = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b + 0.0,
+         "/": lambda a, b: a * jets.constant_value(jets._reciprocal, b) + 0.0,
+         "^": lambda a, b: jets.constant_value(jets.pow_const, a, b)}
 
 
 def eval_on(ast: Ast, env: Mapping[str, Union[Jet, float]]) -> Jet:
@@ -211,9 +210,9 @@ def eval_on(ast: Ast, env: Mapping[str, Union[Jet, float]]) -> Jet:
 
 def _walk(ast, env, like):
     """Jet of ``ast``, or a float c for a constant subtree without calls: every
-    operation on c rounds exactly as on ``like.constant_like(c)``.  A constant
-    whose jet would carry nonzero slots (-0.0 after a negation, NaN when it is
-    not finite) stays a jet; as an exponent only its value is read."""
+    operation on c rounds exactly as on ``like.constant_like(c)``.  A constant whose
+    jet would carry nonzero slots (-0.0 after a negation, NaN where an infinite value
+    meets a zero slot) stays a jet; as an exponent only its value is read."""
     if isinstance(ast, Name):
         return env[ast.name]
     if isinstance(ast, BinOp):
@@ -224,7 +223,7 @@ def _walk(ast, env, like):
             if not c[1:].any() and (c.ndim == 1 or c[0].size and (c[0] == c[0, 0]).all()):
                 right = float(c.flat[0])
         if isinstance(left, float) and isinstance(right, float):
-            value = _FOLD[ast.op](left, right, like.order)
+            value = _FOLD[ast.op](left, right)
             if math.isfinite(value):
                 return value
             left = like.constant_like(left)

@@ -164,7 +164,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self * constant_value(_reciprocal, float(other), self.order)
+            return self * constant_value(_reciprocal, float(other))
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
@@ -181,7 +181,7 @@ class Jet:
     def compose(self, derivs):
         """Univariate composition f(self), given f(a0), f'(a0), ...,
         f^(order)(a0) at a0 = self.value (floats or (P,) columns for a batch);
-        a shorter list ends where every further derivative is exactly 0.
+        a shorter list ends where every further term is exactly 0, as past f(a0) for h = 0.
 
         Implements Faa di Bruno through the truncation order by
         expanding f around a0 in powers of the non-constant part h; h^k has
@@ -249,23 +249,19 @@ def _derivatives(table, v, order, *args):
 
 def _elementary(table):
     """Jet function from a derivative table ``table(v, order, lib, *args)`` = [f(v),
-    ..., f^(order)(v)] at a float or on a batch column (libm per point), bit for bit."""
+    ..., f^(order)(v)] at a float or on a batch column (libm per point), bit for bit;
+    at order 0 where no point of the argument has a nonzero derivative (a constant)."""
     @wraps(table)
     def fn(a: Jet, *args) -> Jet:
-        return a.compose(_derivatives(table, _item(a.coeffs[0]), a.order, *args))
+        order = a.order if np.count_nonzero(a.coeffs[1:]) else 0
+        return a.compose(_derivatives(table, _item(a.coeffs[0]), order, *args))
     fn.table = table
     return fn
 
 
-def constant_value(fn, v: float, order: int, *args) -> float:
-    """Value of ``fn`` at a constant jet of value v, as a float: f(v) plus
-    the zero terms ``compose`` adds (NaN where a derivative is not finite).
-    It gives the reciprocal of a float divisor and a float power of a float."""
-    derivs = _derivatives(fn.table, v, order, *args)
-    value = derivs[0]
-    for k in range(1, len(derivs)):
-        value = value + 0.0 * (derivs[k] / math.factorial(k))
-    return value
+def constant_value(fn, v: float, *args) -> float:
+    """f(v) from the order-0 table of ``fn``: a float divisor's reciprocal, a float's power."""
+    return _derivatives(fn.table, v, 0, *args)[0]
 
 
 def _inverse_powers(v, order, lib):
@@ -278,6 +274,8 @@ def _inverse_powers(v, order, lib):
 def _reciprocal(v, order, lib):
     if lib.any(v == 0.0):
         raise DomainError("division by a jet with zero value")
+    if lib.any(abs(1 / v) == math.inf):  # a subnormal v
+        raise OverflowError
     return _inverse_powers(v, order, lib)
 
 

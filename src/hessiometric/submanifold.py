@@ -289,17 +289,20 @@ def legendre_invariance_residual(pb: PullbackData) -> float:
     """Check that the induced metric is the Hessian of the dual
     potential in the dual chart (per point for a batch).
 
-    The Jacobian of z -> dual coordinates is taken by central
-    differences (relative step 1e-4), one :func:`dual_coordinates` walk
-    over the stencils of every point; the dual-chart Hessian of the dual
+    The Jacobian of z -> dual coordinates is taken by 5-point central differences
+    along each axis (steps 1e-4·(1+|z|) and twice that: truncation well below the
+    comparison tolerances), one :func:`dual_coordinates` walk over the stencils of
+    every point, which must lie in the domain; the dual-chart Hessian of the dual
     potential and the transformed metric are compared entrywise.
     """
     z, r = pb.z, pb.slice.slice_dim
     h = 1e-4 * (1.0 + np.abs(z))
-    # 5-point stencil along each axis, its 4r points of every z in one
-    # batch: truncation well below the comparison tolerances
     stencil = z[..., None, :] + np.multiply.outer([2, 1, -1, -2], h[..., None, :] * np.eye(r))
-    d = dual_coordinates(pb.model, pb.slice, stencil.reshape(-1, r)).reshape(stencil.shape)
+    try:
+        d = dual_coordinates(pb.model, pb.slice, stencil.reshape(-1, r)).reshape(stencil.shape)
+    except DomainError:  # name the user's point, not a stencil point
+        raise DomainError(f"the Jacobian's stencil around z={z.tolist()}, at steps "
+                          "±1e-4·(1+|z|) and twice that, left the domain") from None
     jac = ((-d[0] + 8 * d[1] - 8 * d[2] + d[3]) / (12 * h[..., :, None])).swapaxes(-1, -2)
     singular = np.linalg.cond(jac) > 1e12
     if singular.any():

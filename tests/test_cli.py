@@ -333,6 +333,47 @@ def test_legendre_reports_the_domain_violation(point, capsys):
                         r"'ideal_gas'\n", err)
 
 
+def test_legendre_names_the_point_whose_stencil_leaves_the_domain(capsys):
+    # z = (1e-5, 1) lies in the domain; the Jacobian's stencil point U = -9e-5 does not
+    assert run_cli(["legendre", "ideal_gas", "--slice", "0,0,1=1", "--point", "1e-5,1"],
+                   capsys) == (cli.EXIT_DOMAIN_ERROR, "", "error: the Jacobian's stencil around "
+                               "z=[[1e-05, 1.0]], at steps ±1e-4·(1+|z|) and twice that, "
+                               "left the domain\n")
+
+
+def _constant_operand_runs(entropy, tmp_path, capsys):
+    """(code, stdout, stderr) of check (order 3), curvature (4) and legendre (2)."""
+    model = tmp_path / "constant.json"
+    model.write_text(json.dumps({"name": "constant", "coordinates": ["U", "V"],
+                                 "entropy": entropy, "domain": ["U", "V"]}))
+    return [run_cli([command, str(model), *argv, "--no-timestamp"], capsys)
+            for command, argv in (("check", ["--point", "1,2"]),
+                                  ("curvature", ["--slice", "0,1=1", "--grid", "1:2:2"]),
+                                  ("legendre", ["--slice", "0,1=1", "--point", "1.5"]))]
+
+
+def test_constant_operands_are_values(tmp_path, capsys):
+    # a constant carries no derivatives: its reciprocal, ln and power are taken
+    # at order 0, so every subcommand evaluates these models
+    runs = {entropy: _constant_operand_runs(entropy, tmp_path, capsys)
+            for entropy in ["V*ln(U/V)/1e-63", "V*ln(U/V)*1e63", "V*ln(U/V) + ln(1e-200)*V",
+                            "V*ln(U/V)*(1e-70)^(-4)"]}
+    assert all(code == cli.EXIT_OK for outcomes in runs.values() for code, _, _ in outcomes)
+
+    def values(outcomes):  # quantities of scale 1e63 (residuals and zero eigenvalues are roundoff)
+        check, scan, legendre = (out for _, out, _ in outcomes)
+        point = json.loads(legendre)["points"][0]
+        return [json.loads(check)["checks"][1]["value"]["eigenvalues"][-1],
+                *(float(row.split(",")[2]) for row in scan.splitlines()[1:]),
+                point["phi_star"], point["phi_star_extensive_form"], *point["dual_coordinates"]]
+    np.testing.assert_allclose(values(runs["V*ln(U/V)/1e-63"]), values(runs["V*ln(U/V)*1e63"]),
+                               rtol=1e-14, atol=0)
+    # a divisor whose reciprocal itself leaves the float range fails at every order
+    message = "error: derivatives of reciprocal at 2.225073858507e-311 leave the float range\n"
+    assert _constant_operand_runs("V*ln(U/V)/2.225073858507e-311", tmp_path, capsys) == \
+        [(cli.EXIT_DOMAIN_ERROR, "", message)] * 3
+
+
 @pytest.mark.parametrize("points, message", [
     (["1e200,1e200,1e200", "-1,1,1"],
      "expression value or derivatives are not finite"),

@@ -280,6 +280,28 @@ def test_constant_operands_match_constant_jets(name, order, points, seed):
             _same_outcome(ast, model.coordinates, point, model.parameters, order)
 
 
+def test_a_constant_carries_no_derivatives():
+    # 24/c^5, the derivatives of ln at 1e-200 and c^-5..c^-8 leave the float range,
+    # but a constant has no derivatives: every order gives the order-0 value
+    for text in ["U/1e-63", "U + ln(1e-200)", "U*(1e-70)^(-4)", "U*(-(1e-70))^(-4)"]:
+        for point in ([2.0], [[0.5], [2.0]]):
+            value = ex.eval_jet(ex.parse(text), ["U"], point, {}, 0).value
+            for order in range(1, 5):
+                jet = ex.eval_jet(ex.parse(text), ["U"], point, {}, order)
+                assert np.array_equal(jet.value, value)
+    # (1e-200)^U is exp(U ln c) above order 0, with ln c taken at order 0
+    for order in range(2, 5):
+        assert ex.eval_jet(ex.parse("(1e-200)^U"), ["U"], [0.5], {}, order).value > 0
+
+
+def test_a_subnormal_divisor_is_a_domain_error_at_every_order():
+    # 1 / c itself leaves the float range
+    for order in range(5):
+        with pytest.raises(DomainError, match=r"derivatives of reciprocal at "
+                           r"2\.225073858507e-311 leave the float range"):
+            ex.eval_jet(ex.parse("U/2.225073858507e-311"), ["U"], [2.0], {}, order)
+
+
 def test_environment_folds_a_variable_only_with_one_value():
     # a column of one value, bit for bit, is a float; signed zeros, NaN and
     # distinct values stay jets, and one point's coordinates are all floats

@@ -368,10 +368,12 @@ def test_float_operand_rounds_as_constant_jet(dim, order, points, data):
 
 
 def test_float_operand_whose_reciprocal_derivatives_overflow():
-    # 24 / c**5 overflows, so the reference's compose multiplies the zero
-    # powers of a constant jet by inf: both sides give NaN
-    _assert_float_operand_rounds_as_constant_jet(Jet(3, 4, np.zeros(35)),
-                                                 1.2500269263145994e-62)
+    # 24 / c**5 overflows, but a constant jet's reciprocal is taken at order 0:
+    # both sides give the finite product.  1 / c of a subnormal c overflows
+    # itself: both sides raise the DomainError
+    for x, c in [(Jet(3, 4, np.zeros(35)), 1.2500269263145994e-62),
+                 (Jet(1, 0, np.zeros(1)), 2.225073858507e-311)]:
+        _assert_float_operand_rounds_as_constant_jet(x, c)
 
 
 def _assert_float_operand_rounds_as_constant_jet(x, c):
